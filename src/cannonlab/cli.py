@@ -36,8 +36,6 @@ from .counting import (
     count_ball,
     error_term_fit,
     fit_asymptotic,
-    mean_ratio_diagnostic,
-    poincare_compare,
 )
 from .groups import (
     FreeGroup,
@@ -68,7 +66,6 @@ from .shift import (
     word_maximal_components,
 )
 from .thermo import (
-    CylinderPotential,
     ThermoError,
     correlation_exponent,
     cylinder_potential,
@@ -219,13 +216,18 @@ def emit_csv(out_dir: str, name: str, body: str, cfg_hash: str) -> str:
 
 def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
     """Build (or load from the on-disk cache) the shortlex acceptor for the
-    configured group; the cache key hashes the group and automaton specs."""
+    configured group and the record of its build; the cache key hashes the
+    group and automaton specs.  An entry keeps the record under "build", so
+    a warm run reports the cold run's build; one without it is rebuilt."""
     group = build_group(cfg["group"])
     key = config_hash({"group": cfg["group"], "automaton": cfg["automaton"]})
     cache_path = os.path.join(out_dir, "cache", f"automaton-{key}.json")
     if os.path.exists(cache_path):
         with open(cache_path) as fh:
-            return GeodesicAutomaton.from_json(fh.read(), group), {"cached": True}
+            text = fh.read()
+        build = json.loads(text).get("build")
+        if build is not None:
+            return GeodesicAutomaton.from_json(text, group), build
     r_cone = cfg["automaton"].get("r_cone")
     if r_cone is not None:
         aut = build_shortlex_acceptor(group, int(r_cone))
@@ -243,7 +245,9 @@ def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
             radii=tuple(cfg["automaton"].get("radii", (1, 2, 3, 4))),
             n_validate=int(cfg["automaton"].get("n_validate", 6)),
         )
-    _atomic_write(cache_path, aut.to_json())
+    entry = json.loads(aut.to_json())
+    entry["build"] = info
+    _atomic_write(cache_path, json.dumps(entry, indent=1, sort_keys=True))
     return aut, info
 
 

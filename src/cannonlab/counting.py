@@ -23,7 +23,7 @@ from .automaton import IDENTITY_LABEL, GeodesicAutomaton, augment
 from .groups import FreeGroup, GroupPresentation, ResourceCapError, Word
 from .metrics import FuchsianOrbit, LinearCombination, MetricModel
 from .shift import Component, word_maximal_components
-from .thermo import CylinderPotential, transfer_matrix
+from .thermo import CylinderPotential, TransferOperator
 
 DEFAULT_BALL_CAP = 20_000_000
 GRID_POINTS = 120
@@ -416,24 +416,25 @@ def poincare_compare(
             aut, metric, comp, s, n_max, cap
         )
         vertices = comp.vertices | {aug.initial, aug.zero_state}
-        tm = transfer_matrix(
+        op = TransferOperator(
             aug,
             frozenset(vertices),
-            [(-s, pot)],
+            [pot],
             depth=1,
             allow_identity=True,
             exclude_zero_loop=True,
         )
-        index = {b: i for i, b in enumerate(tm.blocks)}
+        mat = op.matrix([-s])
+        index = {b: i for i, b in enumerate(op.blocks)}
         start = index[(aug.initial, ())]
-        chi = np.zeros(tm.n)
+        chi = np.zeros(len(op.blocks))
         chi[index[(aug.zero_state, ())]] = 1.0
         ops = np.zeros(n_max + 1)
         vec = chi
         # (A^{n+1} chi_0)(initial): n word edges plus the single 0-drop
-        vec = tm.matrix @ vec
+        vec = mat @ vec
         for n in range(1, n_max + 1):
-            vec = tm.matrix @ vec
+            vec = mat @ vec
             ops[n] = vec[start]
         restricted_o[comp.index] = ops
         denom = np.maximum(np.abs(restricted_d[comp.index]), 1e-300)

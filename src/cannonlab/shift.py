@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .automaton import IDENTITY_LABEL, GeodesicAutomaton
-from .groups import ConjClass, Element, FreeGroup, Word, invert_word
+from .groups import ConjClass, FreeGroup, Word, invert_word
 
 
 class ShiftError(Exception):
@@ -150,25 +148,6 @@ def period(comp: Component) -> int:
 
 # -- growth ------------------------------------------------------------------
 
-def _perron_log(mat: np.ndarray, tol: float = 1e-12) -> float:
-    n = mat.shape[0]
-    if n <= 600:
-        eig = np.linalg.eigvals(mat)
-        return math.log(max(float(np.max(np.abs(eig))), 1e-300))
-    # shifted power iteration; the +I shift kills period oscillation
-    shifted = mat + np.eye(n)
-    v = np.ones(n) / n
-    lam = 0.0
-    for _ in range(10000):
-        w = shifted @ v
-        nl = float(np.linalg.norm(w))
-        w /= nl
-        if abs(nl - lam) < tol * max(1.0, abs(lam)):
-            return math.log(nl - 1.0)
-        lam, v = nl, w
-    raise ShiftError("power iteration did not converge")
-
-
 def component_growth(
     aut: GeodesicAutomaton,
     comp: Component,
@@ -179,31 +158,31 @@ def component_growth(
     the pressure of -s * potential over the component."""
     if comp.trivial:
         raise ShiftError("trivial component has no growth")
-    if potential is not None:
-        from .thermo import pressure
+    from .thermo import leading_eigen, pressure, transfer_matrix
 
+    if potential is not None:
         return pressure(aut, comp, potential, s)
-    verts = sorted(comp.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    mat = np.zeros((len(verts), len(verts)))
-    for u, v, label in _component_edges(aut, comp.vertices):
-        if label != IDENTITY_LABEL:
-            mat[pos[u], pos[v]] += 1.0
-    return _perron_log(mat)
+    adjacency = transfer_matrix(aut, comp.vertices, 1).matrix
+    return math.log(abs(leading_eigen(adjacency).value))
+
+
+def _growing_components(aut: GeodesicAutomaton) -> list[Component]:
+    """Nontrivial components with at least one non-identity edge."""
+    return [
+        c
+        for c in scc_decompose(aut)
+        if not c.trivial
+        and any(
+            label != IDENTITY_LABEL
+            for _, _, label in _component_edges(aut, c.vertices)
+        )
+    ]
 
 
 def word_maximal_components(
     aut: GeodesicAutomaton, tol: float = 1e-9
 ) -> list[Component]:
-    comps = [c for c in scc_decompose(aut) if not c.trivial]
-    comps = [
-        c
-        for c in comps
-        if any(
-            label != IDENTITY_LABEL
-            for u, v, label in _component_edges(aut, c.vertices)
-        )
-    ]
+    comps = _growing_components(aut)
     if not comps:
         raise ShiftError("no nontrivial components")
     growths = [component_growth(aut, c) for c in comps]
@@ -248,18 +227,8 @@ def cross_check_maximal(
     distinct maximal components must not reach one another."""
     from .thermo import pressure
 
-    comps = [c for c in scc_decompose(aut) if not c.trivial]
-    comps = [
-        c
-        for c in comps
-        if any(
-            lab != IDENTITY_LABEL
-            for _, _, lab in _component_edges(aut, c.vertices)
-        )
-    ]
-    growths = {c.index: component_growth(aut, c) for c in comps}
-    top_g = max(growths.values())
-    wmax = sorted(c.index for c in comps if growths[c.index] >= top_g - 1e-9)
+    comps = _growing_components(aut)
+    wmax = sorted(c.index for c in word_maximal_components(aut))
     pressures = {
         c.index: pressure(aut, c, potential, v_d) for c in comps
     }
@@ -525,7 +494,6 @@ def gqt_cover_check(
     ball = group.ball_words(r)
     covered = set()
     for f1 in ball:
-        inv_f1 = invert_word(f1)
         for f2 in ball:
             for g in loop_elements:
                 x = group.normal_form(f1 + g + f2)

@@ -9,9 +9,8 @@ point of the Manhattan curve.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,9 +21,7 @@ import scipy.sparse.linalg
 from .automaton import IDENTITY_LABEL, GeodesicAutomaton
 from .groups import Word
 from .metrics import MetricModel
-from .shift import Component, ShiftError, arithmeticity
-
-DENSE_LIMIT = 600
+from .shift import Component, arithmeticity
 
 
 class ThermoError(Exception):
@@ -108,7 +105,7 @@ def truncation_error(
     return eps
 
 
-# -- transfer matrices -------------------------------------------------------
+# -- transfer operators ------------------------------------------------------
 
 def _blocks(
     aut: GeodesicAutomaton,
@@ -139,9 +136,16 @@ def _blocks(
 
 @dataclass
 class TransferMatrix:
+    """Block structure of a transfer operator: the (depth-1)-edge blocks in
+    sorted order and a CSR matrix with one stored entry of 1 per depth-edge
+    window, in the order of ``windows``.  Parallel windows between two
+    blocks (possible at depth 1) are separate entries, which sparse
+    products and toarray() add up."""
+
     blocks: list  # (start_vertex, labels) per index
     matrix: scipy.sparse.csr_matrix
     depth: int
+    windows: list  # label word of each window
 
     @property
     def n(self) -> int:
@@ -151,19 +155,17 @@ class TransferMatrix:
 def transfer_matrix(
     aut: GeodesicAutomaton,
     vertices: frozenset,
-    terms: Sequence[tuple[complex, CylinderPotential]],
-    depth: Optional[int] = None,
+    depth: int,
     allow_identity: bool = False,
     exclude_zero_loop: bool = False,
-    dtype=float,
 ) -> TransferMatrix:
-    """Weighted adjacency on (depth-1)-edge blocks; the transition along a
-    depth-edge window carries weight exp(sum_i c_i * Psi_i(window prefix))."""
-    k = depth if depth is not None else max(p.depth for _, p in terms)
-    blocks = _blocks(aut, vertices, k - 1, allow_identity=allow_identity)
+    """The block structure on a vertex set: a depth-edge window is a
+    transition from the block of its first depth-1 edges to the block of
+    its last depth-1 edges."""
+    blocks = _blocks(aut, vertices, depth - 1, allow_identity=allow_identity)
     index = {b: i for i, b in enumerate(blocks)}
-    rows, cols, vals = [], [], []
-    for b_idx, (v0, labels) in enumerate(blocks):
+    cols, windows, indptr = [], [], [0]
+    for v0, labels in blocks:
         u = v0
         for s in labels:
             u = aut.step(u, s)
@@ -173,79 +175,134 @@ def transfer_matrix(
                 continue
             if w not in vertices:
                 continue
-            if (
-                exclude_zero_loop
-                and u == aut.zero_state
-                and w == aut.zero_state
-            ):
+            if exclude_zero_loop and u == w == aut.zero_state:
                 continue
             window = labels + (label,)
-            target = (v1, window[1:]) if labels else (w, ())
-            t_idx = index.get(target)
-            if t_idx is None:
-                continue
-            exponent = sum(
-                c * p.value(window[: p.depth]) for c, p in terms
-            )
-            rows.append(b_idx)
-            cols.append(t_idx)
-            vals.append(cmath.exp(exponent) if dtype is complex else math.exp(
-                exponent.real if isinstance(exponent, complex) else exponent
-            ))
+            t_idx = index.get((v1, window[1:]) if labels else (w, ()))
+            if t_idx is not None:
+                cols.append(t_idx)
+                windows.append(window)
+        indptr.append(len(cols))
     mat = scipy.sparse.csr_matrix(
-        (np.array(vals, dtype=dtype), (rows, cols)),
+        (np.ones(len(cols)), np.array(cols, dtype=np.int64), indptr),
         shape=(len(blocks), len(blocks)),
     )
-    return TransferMatrix(blocks, mat, k)
+    return TransferMatrix(blocks, mat, depth, windows)
 
 
-def _spectral_radius_real(mat: scipy.sparse.csr_matrix, tol: float = 1e-13) -> float:
+class TransferOperator:
+    """A transfer operator compiled once per (automaton, vertex set, depth,
+    potentials): the block structure plus one float64 array psi_i per
+    potential, holding its value on every window (edge).  ``matrix(c)``
+    evaluates exp(sum_i c_i psi_i) on every edge in one vectorized step."""
+
+    def __init__(
+        self,
+        aut: GeodesicAutomaton,
+        vertices: frozenset,
+        potentials: Sequence[CylinderPotential],
+        depth: Optional[int] = None,
+        allow_identity: bool = False,
+        exclude_zero_loop: bool = False,
+    ):
+        k = depth if depth is not None else max(p.depth for p in potentials)
+        self.structure = transfer_matrix(
+            aut, vertices, k, allow_identity, exclude_zero_loop
+        )
+        self.blocks, self.depth = self.structure.blocks, k
+        windows = self.structure.windows
+        self.psi = np.array(
+            [[p.value(w[: p.depth]) for w in windows] for p in potentials],
+            dtype=float,
+        ).reshape(len(potentials), len(windows))
+
+    def matrix(self, c: Sequence[complex]) -> scipy.sparse.csr_matrix:
+        """The operator with edge weights exp(sum_i c_i psi_i); complex
+        coefficients give a complex matrix."""
+        s = self.structure.matrix
+        return scipy.sparse.csr_matrix(
+            (np.exp(np.asarray(c) @ self.psi), s.indices, s.indptr), shape=s.shape
+        )
+
+
+# -- the spectral routine ----------------------------------------------------
+
+# Below this size dense LAPACK eig beats ARPACK (one BLAS thread: crossover
+# 36-108 blocks on transfer matrices, 64-80 on random 3-per-row matrices).
+DENSE_BELOW = 64
+RESIDUAL_TOL = 1e-10  # ||A x - lam x|| <= RESIDUAL_TOL * |lam| for a unit x
+TIE_RTOL = 1e-10  # moduli this close (relative) count as tied
+
+
+@dataclass
+class Eigenpair:
+    value: complex
+    right: np.ndarray  # unit norm; its largest-modulus entry is real positive
+    left: Optional[np.ndarray]  # same normalization, when asked for
+    residual: float  # ||A x - lam x|| / |lam| of the right vector
+
+
+def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
+    """The leading eigenvalue (largest modulus) of a square sparse matrix
+    with its right eigenvector, and its left one when asked for.
+
+    Matrices below DENSE_BELOW rows go to dense LAPACK eig; larger ones to
+    ARPACK eigs(k=1, which="LM") started from the fixed vector of ones, so
+    two calls on the same matrix return the same bits.  Every answer must
+    pass ||A x - lam x|| <= RESIDUAL_TOL |lam|; a failed residual check or
+    an ARPACK run that does not converge raises ThermoError.
+
+    Ties: when several eigenvalues share the top modulus, the dense path
+    returns the one with the largest real part, then the largest imaginary
+    part, comparing each to TIE_RTOL times the top modulus; for a
+    nonnegative matrix that is the Perron root.  The
+    ARPACK path returns the member it converges to from the ones vector,
+    which repeats exactly but follows no such rule.  Ties come from periodic
+    components (period p gives the p values lam * exp(2 pi i j / p)).
+    """
     n = mat.shape[0]
     if n == 0:
         raise ThermoError("empty transfer matrix")
-    if n <= DENSE_LIMIT:
-        eig = np.linalg.eigvals(mat.toarray())
-        return float(np.max(np.abs(eig)))
-    # ARPACK with a fixed start vector for reproducibility
-    for ncv in (20, 64, 128):
+    if n < DENSE_BELOW:
+        w, vr = np.linalg.eig(mat.toarray())
+        top = float(np.max(np.abs(w)))
+        tied = np.flatnonzero(np.abs(w) >= top * (1.0 - TIE_RTOL))
+        re = w[tied].real
+        tied = tied[re >= np.max(re) - TIE_RTOL * top]
+        i = tied[int(np.argmax(w[tied].imag))]
+    else:
         try:
-            vals = scipy.sparse.linalg.eigs(
-                mat,
-                k=1,
-                which="LM",
-                v0=np.ones(n),
-                tol=1e-13,
-                ncv=min(ncv, n - 1),
-                maxiter=100000,
-                return_eigenvectors=False,
+            w, vr = scipy.sparse.linalg.eigs(
+                mat, k=1, which="LM", v0=np.ones(n, dtype=mat.dtype)
             )
-            return float(np.abs(vals[0]))
-        except scipy.sparse.linalg.ArpackError:
-            continue
-    # residual-checked power iteration on the aperiodicity shift A + I
-    v = np.ones(n) / math.sqrt(n)
-    for _ in range(200000):
-        w = mat @ v + v
-        nl = float(np.linalg.norm(w))
-        v = w / nl
-        resid = float(np.linalg.norm(mat @ v + v - nl * v))
-        if resid <= 1e-11 * nl:
-            return nl - 1.0
-    if n <= 4000:
-        eig = np.linalg.eigvals(mat.toarray())
-        return float(np.max(np.abs(eig)))
-    raise ThermoError("spectral radius computation did not converge")
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ThermoError(
+                f"ARPACK did not converge on a {n}-block matrix"
+            ) from exc
+        i = 0
+    lam, x = complex(w[i]), vr[:, i]
+    pivot = x[int(np.argmax(np.abs(x)))]
+    x = x * (abs(pivot) / pivot) / np.linalg.norm(x)
+    resid = float(np.linalg.norm(mat @ x - lam * x))
+    if not resid <= RESIDUAL_TOL * abs(lam):
+        raise ThermoError(
+            f"eigen residual {resid:.2e} above {RESIDUAL_TOL:.0e} * |{lam:.6g}|"
+        )
+    pair = Eigenpair(lam, x, None, resid / abs(lam) if lam else 0.0)
+    if left:
+        dual = leading_eigen(mat.T)
+        if not abs(dual.value - lam) <= RESIDUAL_TOL * abs(lam):
+            raise ThermoError("left and right leading eigenvalues differ")
+        pair.left = dual.right
+    return pair
 
 
-def pressure_terms(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    terms: Sequence[tuple[float, CylinderPotential]],
-) -> float:
-    """log spectral radius of the transfer matrix with the given signed
-    potential combination."""
-    tm = transfer_matrix(aut, comp.vertices, terms)
-    return math.log(_spectral_radius_real(tm.matrix))
+def pressure_terms(op: TransferOperator, c: Sequence[float]) -> float:
+    """log spectral radius of the compiled operator at coefficients c."""
+    rho = abs(leading_eigen(op.matrix(c)).value)
+    if rho == 0.0:
+        raise ThermoError("nilpotent transfer matrix: the pressure is -inf")
+    return math.log(rho)
 
 
 def pressure(
@@ -255,7 +312,7 @@ def pressure(
     s: float,
 ) -> float:
     """P(-s * Psi) on the component."""
-    return pressure_terms(aut, comp, [(-s, potential)])
+    return pressure_terms(TransferOperator(aut, comp.vertices, [potential]), [-s])
 
 
 def pressure_orbit_estimate(
@@ -267,10 +324,10 @@ def pressure_orbit_estimate(
 ) -> float:
     """(1/n) log trace(L^n): the n-periodic-orbit approximation of the
     pressure; converges to the eigenvalue version as n grows."""
-    tm = transfer_matrix(aut, comp.vertices, [(-s, potential)])
-    power = tm.matrix
+    mat = TransferOperator(aut, comp.vertices, [potential]).matrix([-s])
+    power = mat
     for _ in range(n - 1):
-        power = power @ tm.matrix
+        power = power @ mat
     tr = float(power.diagonal().sum())
     if tr <= 0:
         raise ThermoError(f"no closed orbits of period {n}")
@@ -305,8 +362,9 @@ def growth_rate(
     bracket: tuple[float, float] = (0.0, 4.0),
 ) -> float:
     """The unique v with P(-v * Psi) = 0."""
+    op = TransferOperator(aut, comp.vertices, [potential])
     return _bisect_root(
-        lambda s: pressure(aut, comp, potential, s), bracket[0], bracket[1]
+        lambda s: pressure_terms(op, [-s]), bracket[0], bracket[1]
     )
 
 
@@ -333,7 +391,8 @@ def choose_depth(
 
 @dataclass
 class GibbsData:
-    tm: TransferMatrix
+    op: TransferOperator
+    matrix: scipy.sparse.csr_matrix  # the operator at -s
     eigenvalue: float
     right: np.ndarray  # h, positive
     left: np.ndarray  # nu, positive, nu . h = 1
@@ -346,15 +405,8 @@ class GibbsData:
 
     def transition(self) -> np.ndarray:
         """Markov kernel q(b -> b') = A(b,b') h(b') / (lam h(b))."""
-        a = self.tm.matrix.toarray()
+        a = self.matrix.toarray()
         return a * self.right[None, :] / (self.eigenvalue * self.right[:, None])
-
-    def cylinder_mass(self, block_path: Sequence[int]) -> float:
-        q = self.transition()
-        mass = self.stationary[block_path[0]]
-        for a, b in zip(block_path, block_path[1:]):
-            mass *= q[a, b]
-        return mass
 
 
 def gibbs_data(
@@ -363,30 +415,24 @@ def gibbs_data(
     potential: CylinderPotential,
     s: float,
 ) -> GibbsData:
-    tm = transfer_matrix(aut, comp.vertices, [(-s, potential)])
-    a = tm.matrix.toarray()
-    if a.shape[0] > 4000:
-        raise ThermoError("component too large for dense eigendata")
-    w, vr = np.linalg.eig(a)
-    i = int(np.argmax(w.real))
-    lam = float(w[i].real)
-    h = vr[:, i].real
-    h = h * np.sign(h[np.argmax(np.abs(h))])
+    """Perron data of the operator of -s * Psi.  Raises ThermoError when the
+    leading eigenvalue is not real and positive (a periodic component solved
+    by ARPACK, see leading_eigen) or an eigenvector is not positive."""
+    op = TransferOperator(aut, comp.vertices, [potential])
+    mat = op.matrix([-s])
+    eig = leading_eigen(mat, left=True)
+    lam = eig.value
+    if lam.real <= 0 or abs(lam.imag) > RESIDUAL_TOL * abs(lam):
+        raise ThermoError(f"leading eigenvalue {lam} is not the Perron root")
+    h, nu = eig.right.real, eig.left.real
     if np.min(h) <= 0:
         raise ThermoError("Perron right eigenvector not positive")
-    wl, vl = np.linalg.eig(a.T)
-    j = int(np.argmax(wl.real))
-    nu = vl[:, j].real
-    nu = nu * np.sign(nu[np.argmax(np.abs(nu))])
     if np.min(nu) <= 0:
         raise ThermoError("Perron left eigenvector not positive")
-    resid = float(np.linalg.norm(a @ h - lam * h)) / max(lam, 1.0)
-    if resid > 1e-9:
-        raise ThermoError(f"eigen residual {resid:.2e} above tolerance")
     nu = nu / float(nu @ h)
     pi = nu * h
     pi = pi / pi.sum()
-    return GibbsData(tm, lam, h, nu, pi, s)
+    return GibbsData(op, mat, lam.real, h, nu, pi, s)
 
 
 def gibbs_ratio_check(
@@ -398,8 +444,8 @@ def gibbs_ratio_check(
 ) -> tuple[float, float]:
     """Ratio mu[cylinder] / exp(-nP + S_n Phi) over all cylinders of
     length up to depth_test, Phi = -s Psi.  Returns (min, max)."""
-    k = gd.tm.depth
-    index = {b: i for i, b in enumerate(gd.tm.blocks)}
+    k = gd.op.depth
+    index = {b: i for i, b in enumerate(gd.op.blocks)}
     q = gd.transition()
     lo, hi = math.inf, -math.inf
     for n in range(k, depth_test + 1):
@@ -454,15 +500,18 @@ def manhattan_pair(
     potential_dstar: CylinderPotential,
     t: float,
     bracket: tuple[float, float] = (-4.0, 4.0),
+    op: Optional[TransferOperator] = None,
 ) -> float:
-    """theta_{dstar/d}(t): the s with P(-s Psi_d - t Psi_dstar) = 0."""
-
-    def f(s: float) -> float:
-        return pressure_terms(
-            aut, comp, [(-s, potential_d), (-t, potential_dstar)]
+    """theta_{dstar/d}(t): the s with P(-s Psi_d - t Psi_dstar) = 0.  A
+    caller solving for many t passes the compiled operator of
+    (potential_d, potential_dstar) on the component as ``op``."""
+    if op is None:
+        op = TransferOperator(
+            aut, comp.vertices, [potential_d, potential_dstar]
         )
-
-    return _bisect_root(f, bracket[0], bracket[1])
+    return _bisect_root(
+        lambda s: pressure_terms(op, [-s, -t]), bracket[0], bracket[1]
+    )
 
 
 def _theta_derivative(theta, t: float, h: float = 1e-4) -> float:
@@ -494,6 +543,7 @@ def correlation_exponent(
     growth-normalized metrics; alpha = xi + theta(xi).  A dependent pair
     yields the affine curve theta(t) = 1 - t and is flagged degenerate."""
 
+    op = TransferOperator(aut, comp.vertices, [potential_d, potential_dstar])
     cache: dict[float, float] = {}
     last = [1.0]  # theta(0) = 1 for a growth-normalized pair
 
@@ -505,6 +555,7 @@ def correlation_exponent(
             v = manhattan_pair(
                 aut, comp, potential_d, potential_dstar, t,
                 bracket=(g - 0.6, g + 0.6),
+                op=op,
             )
             cache[t] = v
             last[0] = v
@@ -534,7 +585,7 @@ class ScanPoint:
     rho: float
     unit_distance: float  # |1 - leading eigenvalue|
     gap: float  # 1 - rho
-    exact: bool  # dense eigenvalues vs norm estimate
+    exact: bool  # leading eigenvalue solved and residual-checked
 
 
 def spectral_scan(
@@ -543,43 +594,15 @@ def spectral_scan(
     potential: CylinderPotential,
     v: float,
     t_grid: Sequence[float],
-    dense_limit: int = 1500,
 ) -> list[ScanPoint]:
-    """Spectral radius profile of L_{v+it} over the grid.  Dense
-    eigenvalues below the size limit (leading eigenvalue reported); norm
-    based repeated-squaring estimate above it."""
+    """Leading eigenvalue of L_{v+it} over the grid, from one compiled
+    operator; see leading_eigen for the solver and its tie rule."""
+    op = TransferOperator(aut, comp.vertices, [potential])
     out = []
     for t in t_grid:
-        tm = transfer_matrix(
-            aut,
-            comp.vertices,
-            [(-(v + 1j * t), potential)],
-            dtype=complex,
-        )
-        n = tm.matrix.shape[0]
-        if n <= dense_limit:
-            eig = np.linalg.eigvals(tm.matrix.toarray())
-            lead = eig[int(np.argmax(np.abs(eig)))]
-            rho = float(np.abs(lead))
-            out.append(
-                ScanPoint(t, rho, float(abs(1.0 - lead)), 1.0 - rho, True)
-            )
-        else:
-            if n > 4000:
-                raise ThermoError("scan matrix too large")
-            # normalized repeated squaring: rho = lim ||A^{2^m}||^{1/2^m}
-            m = tm.matrix.toarray()
-            log_rho = 0.0
-            weight = 1.0
-            for _ in range(14):
-                nrm = float(np.linalg.norm(m, ord=np.inf))
-                log_rho += weight * math.log(nrm)
-                weight /= 2.0
-                m = (m / nrm) @ (m / nrm)
-            nrm = float(np.linalg.norm(m, ord=np.inf))
-            log_rho += weight * math.log(nrm)
-            rho = math.exp(log_rho)
-            out.append(ScanPoint(t, rho, math.nan, 1.0 - rho, False))
+        lead = leading_eigen(op.matrix([-(v + 1j * t)])).value
+        rho = abs(lead)
+        out.append(ScanPoint(t, rho, abs(1.0 - lead), 1.0 - rho, True))
     return out
 
 

@@ -50,14 +50,45 @@ def test_report_pipeline_on_free_group(tmp_path, free_pair_cfg, log3):
         assert m["arithmeticity"]["verdict"] == "lattice"
 
 
+def artifacts(out):
+    """Every file under the output directory, by relative path."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = fh.read()
+    return files
+
+
 def test_reruns_are_byte_identical(tmp_path, free_pair_cfg):
-    code, out = run(tmp_path, "growth", "--config", free_pair_cfg)
+    code, out = run(tmp_path, "report", "--config", free_pair_cfg)
     assert code == 0
-    path = os.path.join(out, "growth.json")
-    first = open(path, "rb").read()
-    code2, _ = run(tmp_path, "growth", "--config", free_pair_cfg)
+    first = artifacts(out)
+    assert {"growth.json", "bijection.json", "report.json"} <= set(first)
+    # the second run reads the automaton from the cache
+    code2, _ = run(tmp_path, "report", "--config", free_pair_cfg)
     assert code2 == 0
-    assert open(path, "rb").read() == first
+    assert artifacts(out) == first
+
+
+def test_cache_entry_without_build_record_is_rebuilt(tmp_path, free_pair_cfg):
+    _, out = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    cache_dir = os.path.join(out, "cache")
+    (entry,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, entry)
+    with open(path) as fh:
+        doc = json.load(fh)
+    build = doc.pop("build")
+    assert "history" in build
+    with open(path, "w") as fh:
+        json.dump(doc, fh)  # the older format: a bare automaton
+    code, _ = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    assert code == 0
+    with open(os.path.join(out, "bijection.json")) as fh:
+        assert json.load(fh)["build"] == build
+    with open(path) as fh:
+        assert json.load(fh)["build"] == build
 
 
 def test_automaton_cache_is_reused(tmp_path, free_pair_cfg):

@@ -1,10 +1,14 @@
 """Transfer operators: pressures, growth rates, Gibbs data, Manhattan curves."""
+import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
-from cannonlab import metrics, thermo
+from cannonlab import automaton, cli, metrics, thermo
 
 
 def test_pressure_closed_form_for_word_potential(free2_aut, free2_comp, free2, log3):
@@ -157,3 +161,188 @@ def test_pressure_rejects_trivial_component(free2_aut, free2):
     pot = thermo.cylinder_potential(metrics.WordMetric(free2), 1)
     with pytest.raises((thermo.ThermoError, shift.ShiftError, ValueError)):
         thermo.pressure(free2_aut, trivial, pot, 1.0)
+
+
+# -- compiled operators and the spectral routine -----------------------------
+
+def _reference_matrix(aut, vertices, potentials, c, depth, allow_identity=False,
+                      exclude_zero_loop=False):
+    """The operator assembled from its definition, densely: blocks are the
+    (depth-1)-edge paths in sorted order, a window appends one label and
+    weighs exp(sum_i c_i psi_i(window)).  Returns (blocks, matrix)."""
+    def allowed(u, a, w):
+        return (
+            (a != automaton.IDENTITY_LABEL or allow_identity)
+            and w in vertices
+            and not (exclude_zero_loop and u == w == aut.zero_state)
+        )
+
+    paths = [(v, (), (v,)) for v in vertices]
+    for _ in range(depth - 1):
+        paths = [
+            (v0, labels + (a,), verts + (w,))
+            for v0, labels, verts in paths
+            for a, w in aut.transitions[verts[-1]]
+            if a != automaton.IDENTITY_LABEL or allow_identity
+            if w in vertices
+        ]
+    paths.sort(key=lambda p: p[:2])
+    index = {(v0, labels): i for i, (v0, labels, _) in enumerate(paths)}
+    mat = np.zeros((len(paths), len(paths)), dtype=complex)
+    for i, (v0, labels, verts) in enumerate(paths):
+        for a, w in aut.transitions[verts[-1]]:
+            if not allowed(verts[-1], a, w):
+                continue
+            window = labels + (a,)
+            j = index[(verts[1], window[1:]) if labels else (w, ())]
+            mat[i, j] += cmath.exp(
+                sum(ci * p.value(window[: p.depth]) for ci, p in zip(c, potentials))
+            )
+    return [p[:2] for p in paths], mat
+
+
+def _parallel_edge_automaton(free2):
+    """Two states joined by parallel edges with different labels, so that
+    depth-1 blocks receive several windows in one matrix entry."""
+    return automaton.GeodesicAutomaton(
+        group=free2,
+        n_states=2,
+        initial=0,
+        transitions=(((1, 1), (2, 1)), ((-2, 0), (1, 0), (2, 1))),
+        accepts_all_geodesics=False,
+        shortlex_unique=False,
+        r_cone=1,
+        state_reps=((), ()),
+    )
+
+
+@pytest.mark.parametrize("c", [(-0.37, 0.21), (-0.37 - 2.5j, 0.21 + 0.8j)])
+def test_transfer_operator_matches_assembly_from_definition(
+    c, free2, free2_aut, free2_comp, schottky, schottky_aut, schottky_comp,
+    fuchsian,
+):
+    word = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
+    cases = [(schottky_aut, schottky_comp.vertices, [], 1, {})]
+    for depth in (1, 4, 6):
+        pot = thermo.cylinder_potential(fuchsian, depth)
+        cases.append((schottky_aut, schottky_comp.vertices, [pot], depth, {}))
+        cases.append((schottky_aut, schottky_comp.vertices, [word, pot], depth, {}))
+    parallel = _parallel_edge_automaton(free2)
+    green = thermo.cylinder_potential(metrics.GreenClosedForm(free2), 1)
+    for depth in (1, 2):
+        cases.append((parallel, frozenset({0, 1}), [green], depth, {}))
+    # the augmented-automaton operator of poincare_compare
+    aug = automaton.augment(free2_aut)
+    cases.append((
+        aug,
+        free2_comp.vertices | {aug.initial, aug.zero_state},
+        [thermo.cylinder_potential(metrics.WordMetric(free2), 1)],
+        1,
+        {"allow_identity": True, "exclude_zero_loop": True},
+    ))
+    for aut, vertices, pots, depth, flags in cases:
+        op = thermo.TransferOperator(aut, vertices, pots, depth=depth, **flags)
+        coeffs = list(c[: len(pots)])
+        blocks, want = _reference_matrix(aut, vertices, pots, coeffs, depth, **flags)
+        got = op.matrix(coeffs)
+        assert op.blocks == blocks
+        assert got.dtype == (complex if isinstance(c[0], complex) and pots else float)
+        assert np.allclose(got.toarray(), want, rtol=1e-13, atol=0.0)
+    # the parallel-edge automaton puts two windows into one matrix entry
+    par = thermo.TransferOperator(parallel, frozenset({0, 1}), [green], depth=1)
+    assert len(par.structure.windows) > np.count_nonzero(par.matrix([1.0]).toarray())
+
+
+@pytest.fixture(scope="module")
+def fuchsian_depth6(schottky_aut, schottky_comp, fuchsian):
+    pot = thermo.cylinder_potential(fuchsian, 6)
+    v = thermo.growth_rate(schottky_aut, schottky_comp, pot)
+    return thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pot]), v
+
+
+@pytest.mark.parametrize("t", [0.0, 15.74, 28.8])
+def test_leading_eigen_matches_dense_eig(fuchsian_depth6, t):
+    op, v = fuchsian_depth6
+    mat = op.matrix([-v] if t == 0.0 else [-(v + 1j * t)])
+    assert mat.shape[0] >= thermo.DENSE_BELOW  # the ARPACK path
+    w, vr = np.linalg.eig(mat.toarray())
+    order = np.argsort(-np.abs(w))
+    lead = w[order[0]]
+    if t == 28.8:
+        # a near tie: |lambda_2| / |lambda_1| = 0.9986
+        assert abs(w[order[1]]) / abs(lead) > 0.99
+    eig = thermo.leading_eigen(mat, left=True)
+    assert abs(eig.value - lead) <= 1e-12 * abs(lead)
+    assert eig.residual <= 1e-12
+    x = vr[:, order[0]]
+    x = x / x[np.argmax(np.abs(x))]
+    assert np.allclose(eig.right / eig.right[np.argmax(np.abs(eig.right))], x,
+                       rtol=0.0, atol=1e-10)
+    assert np.linalg.norm(mat.T @ eig.left - eig.value * eig.left) <= 1e-12 * abs(lead)
+
+
+def test_leading_eigen_is_bitwise_repeatable(fuchsian_depth6, free2_aut, free2_comp):
+    op, v = fuchsian_depth6
+    small = thermo.TransferOperator(free2_aut, free2_comp.vertices, [], depth=1)
+    for mat in (op.matrix([-(v + 15.74j)]), op.matrix([-v]), small.matrix([])):
+        a = thermo.leading_eigen(mat, left=True)
+        b = thermo.leading_eigen(mat, left=True)
+        assert a.value == b.value
+        assert np.array_equal(a.right, b.right) and np.array_equal(a.left, b.left)
+
+
+def test_arpack_failure_is_a_thermo_error_and_exit_5(
+    fuchsian_depth6, monkeypatch, tmp_path
+):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("injected", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    op, v = fuchsian_depth6
+    with pytest.raises(thermo.ThermoError, match="did not converge"):
+        thermo.leading_eigen(op.matrix([-v]))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "group": {"family": "schottky", "traces": [3.0, 5.0]},
+        "metrics": [{"kind": "fuchsian_orbit"}],
+        "thermo": {"depth": 4},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["growth", "--config", str(cfg), "--out", str(out)]) == 5
+    assert not (out / "growth.json").exists()
+
+
+def test_unconverged_eigenpair_fails_the_residual_check(fuchsian_depth6, monkeypatch):
+    op, v = fuchsian_depth6
+    mat = op.matrix([-v])
+
+    def wrong_pair(a, k, which, v0):
+        return np.array([1.0 + 1e-6]), v0[:, None] / np.linalg.norm(v0)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", wrong_pair)
+    with pytest.raises(thermo.ThermoError, match="residual"):
+        thermo.leading_eigen(mat)
+
+
+def test_leading_eigen_tie_rule():
+    def sparse(rows):
+        return scipy.sparse.csr_matrix(np.array(rows, dtype=complex))
+
+    # dense path: among tied moduli, the largest real part, then imaginary part
+    swap = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert thermo.leading_eigen(swap).value == pytest.approx(1.0, abs=1e-15)
+    cycle = scipy.sparse.csr_matrix(np.roll(np.eye(3), 1, axis=1))
+    assert thermo.leading_eigen(cycle).value == pytest.approx(1.0, abs=1e-15)
+    rotation = sparse([[0, -2, 0], [2, 0, 0], [0, 0, -2]])  # 2i, -2i, -2
+    assert thermo.leading_eigen(rotation).value == pytest.approx(2j, abs=1e-15)
+    # ARPACK path on a period-3 matrix (three eigenvalues of top modulus):
+    # the member it returns repeats exactly and has the top modulus
+    n = 300
+    rows = np.repeat(np.arange(n), 3)
+    cols = (rows + np.tile([1, 4, 7], n)) % n  # every edge moves to the next class mod 3
+    vals = 1.0 + (rows % 5) / 10.0
+    periodic = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rho = np.max(np.abs(np.linalg.eigvals(periodic.toarray())))
+    first = thermo.leading_eigen(periodic)
+    assert abs(abs(first.value) - rho) <= 1e-12 * rho
+    assert thermo.leading_eigen(periodic).value == first.value
