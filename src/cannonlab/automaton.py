@@ -45,7 +45,6 @@ class GeodesicAutomaton:
     accepts_all_geodesics: bool
     shortlex_unique: bool
     r_cone: int
-    state_reps: tuple = field(repr=False)  # witness word per state
     augmented: bool = False
     zero_state: Optional[int] = None
 
@@ -161,7 +160,6 @@ class GeodesicAutomaton:
             accepts_all_geodesics=doc["flags"]["accepts_all_geodesics"],
             shortlex_unique=doc["flags"]["shortlex_unique"],
             r_cone=doc["r_cone"],
-            state_reps=tuple(() for _ in range(n)),
             augmented=doc["flags"]["augmented"],
             zero_state=doc["zero_state"],
         )
@@ -211,9 +209,7 @@ def _signature(
     return tuple(diffs)
 
 
-def _minimize(
-    rows: list[list], initial: int, reps: list[Word], group: GroupPresentation
-) -> tuple[list[list], int, list[Word]]:
+def _minimize(rows: list[list], initial: int) -> tuple[list[list], int]:
     """Moore partition refinement (all states accepting, missing edges go
     to an implicit dead state), followed by canonical BFS renumbering."""
     n = len(rows)
@@ -237,7 +233,6 @@ def _minimize(
             break
         block = new_block
         n_blocks = len(assign)
-    # representative per block: shortlex-least witness word
     members: dict[int, list[int]] = {}
     for u in range(n):
         members.setdefault(block[u], []).append(u)
@@ -257,13 +252,9 @@ def _minimize(
                     nxt.append(tb)
         frontier = nxt
     out_rows: list[list] = [[] for _ in range(len(order))]
-    out_reps: list[Word] = [()] * len(order)
     for b, i in order.items():
         out_rows[i] = [(label, order[tb]) for label, tb in block_rows[b]]
-        out_reps[i] = min(
-            (reps[u] for u in members[b]), key=group.shortlex_key
-        )
-    return out_rows, 0, out_reps
+    return out_rows, 0
 
 
 def _build_by_signature(
@@ -271,10 +262,9 @@ def _build_by_signature(
     r_cone: int,
     shortlex: bool,
     state_cap: int,
-) -> tuple[list[list], int, list[Word]]:
+) -> tuple[list[list], int]:
     ball = presentation.ball_words(r_cone)
     sig_to_state: dict = {}
-    reps: list[Word] = []
     rows: list[list] = []
     queue: list[tuple[int, Word]] = []
 
@@ -282,9 +272,8 @@ def _build_by_signature(
         sig = _signature(presentation, ball, word, shortlex)
         st = sig_to_state.get(sig)
         if st is None:
-            st = len(reps)
+            st = len(rows)
             sig_to_state[sig] = st
-            reps.append(word)
             rows.append([])
             queue.append((st, word))
         return st
@@ -294,7 +283,7 @@ def _build_by_signature(
     while head < len(queue):
         st, g = queue[head]
         head += 1
-        if len(reps) > state_cap:
+        if len(rows) > state_cap:
             raise UnsaturatedError(
                 f"state count exceeded cap {state_cap} at r_cone={r_cone}",
                 r_cone,
@@ -308,7 +297,7 @@ def _build_by_signature(
             if not accepted:
                 continue
             rows[st].append((s, state_of(nf)))
-    return rows, initial, reps
+    return rows, initial
 
 
 def _forbidden_grams(group, shortlex: bool) -> dict[int, set]:
@@ -336,7 +325,7 @@ def _build_by_window(
     r_cone: int,
     shortlex: bool,
     state_cap: int,
-) -> tuple[list[list], int, list[Word]]:
+) -> tuple[list[list], int]:
     """Direct construction for small cancellation groups: states are
     suffix windows, acceptance rejects free cancellations and forbidden
     grams ending at the new letter."""
@@ -344,12 +333,11 @@ def _build_by_window(
     window = max(grams) - 1 + (r_cone - 1)
     state_of: dict[Word, int] = {(): 0}
     rows: list[list] = [[]]
-    reps: list[Word] = [()]
-    queue: list[tuple[int, Word, Word]] = [(0, (), ())]
+    queue: list[tuple[int, Word]] = [(0, ())]
     raw_cap = max(state_cap, 500_000)  # minimization shrinks this massively
     head = 0
     while head < len(queue):
-        st, win, rep = queue[head]
+        st, win = queue[head]
         head += 1
         if len(rows) > raw_cap:
             raise UnsaturatedError(
@@ -370,10 +358,9 @@ def _build_by_window(
                 t = len(rows)
                 state_of[nw] = t
                 rows.append([])
-                reps.append(rep + (s,))
-                queue.append((t, nw, rep + (s,)))
+                queue.append((t, nw))
             rows[st].append((s, t))
-    return rows, 0, reps
+    return rows, 0
 
 
 def _build(
@@ -385,14 +372,14 @@ def _build(
     if r_cone < 1:
         raise AutomatonError("r_cone must be >= 1")
     if presentation.family == "small_cancellation":
-        rows, initial, reps = _build_by_window(
+        rows, initial = _build_by_window(
             presentation, r_cone, shortlex, state_cap
         )
     else:
-        rows, initial, reps = _build_by_signature(
+        rows, initial = _build_by_signature(
             presentation, r_cone, shortlex, state_cap
         )
-    rows, initial, reps = _minimize(rows, initial, reps, presentation)
+    rows, initial = _minimize(rows, initial)
     if len(rows) > state_cap:
         raise ResourceCapError(
             f"minimized automaton has {len(rows)} states, cap {state_cap}"
@@ -405,7 +392,6 @@ def _build(
         accepts_all_geodesics=not shortlex,
         shortlex_unique=shortlex,
         r_cone=r_cone,
-        state_reps=tuple(reps),
     )
 
 
@@ -437,7 +423,6 @@ def augment(aut: GeodesicAutomaton) -> GeodesicAutomaton:
         aut,
         n_states=aut.n_states + 1,
         transitions=tuple(tuple(sorted(r)) for r in rows),
-        state_reps=aut.state_reps + ((),),
         augmented=True,
         zero_state=zero,
     )

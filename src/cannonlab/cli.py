@@ -85,11 +85,10 @@ DEFAULT_CONFIG = {
     "group": {"family": "free", "rank": 2},
     "metrics": [{"kind": "word"}],
     "automaton": {"r_cone": None, "radii": [1, 2, 3, 4], "n_validate": 6},
-    "thermo": {"depth": 4, "tol": 1e-8},
+    "thermo": {"depth": 4},
     "counting": {"n_max": 8, "eps": 0.5},
     "scan": {"t_min": 0.1, "t_max": 10.0, "points": 40},
     "manhattan": {"points": 17},
-    "seed": 0,
 }
 
 
@@ -128,12 +127,10 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
         cfg["counting"]["n_max"] = args.nmax
     if getattr(args, "eps", None) is not None:
         cfg["counting"]["eps"] = args.eps
-    if getattr(args, "tol", None) is not None:
-        cfg["thermo"]["tol"] = args.tol
     if len(cfg["metrics"]) > 2:
         raise ConfigError("at most two metrics")
-    if cfg["thermo"]["tol"] <= 0 or cfg["counting"]["eps"] <= 0:
-        raise ConfigError("tolerances must be positive")
+    if cfg["counting"]["eps"] <= 0:
+        raise ConfigError("counting.eps must be positive")
     return cfg
 
 
@@ -266,7 +263,7 @@ def _growth(aut: GeodesicAutomaton, metric: MetricModel, depth: int) -> float:
 
 def _metric_depth(metric: MetricModel, depth: int) -> int:
     """Radial metrics are depth-1 exact; deeper windows only cost time."""
-    if metric.kind in ("word", "scaled_word", "green_closed_form"):
+    if metric.radial_step is not None:
         return 1
     return depth
 
@@ -570,7 +567,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--rcone", type=int, default=None, help="cone radius")
         p.add_argument("--nmax", type=int, default=None, help="counting radius")
         p.add_argument("--eps", type=float, default=None, help="correlation band")
-        p.add_argument("--tol", type=float, default=None, help="thermo tolerance")
     return parser
 
 

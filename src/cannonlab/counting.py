@@ -35,17 +35,6 @@ class CountingError(Exception):
 
 # -- per-sphere distance evaluation ------------------------------------------
 
-def _radial_step(metric: MetricModel) -> Optional[float]:
-    """Distance per generator for metrics constant on word spheres."""
-    if metric.kind == "word":
-        return 1.0
-    if metric.kind == "scaled_word":
-        return metric.factor
-    if metric.kind == "green_closed_form":
-        return metric.log_base
-    return None
-
-
 def _fuchsian_sphere_arrays(metric: FuchsianOrbit, n_max: int) -> list[np.ndarray]:
     """Orbit distances for every reduced word of each length, built by
     batched incremental 2x2 products in a fixed letter order (so that two
@@ -104,7 +93,7 @@ def sphere_distance_arrays(
     Arrays produced for metrics on the same group share one element order,
     so they may be combined entrywise.
     """
-    step = _radial_step(metric)
+    step = metric.radial_step
     if step is not None:
         sizes = _sphere_sizes(metric.group, n_max, cap)
         return [np.full(sizes[n], step * n) for n in range(n_max + 1)]

@@ -353,7 +353,8 @@ class SmallCancellationGroup(GroupPresentation):
         return False
 
     def _find_long_match(self, word: Word):
-        """Leftmost-longest subword covering more than half a relator."""
+        """The longest subword covering more than half a relator, the
+        leftmost among equally long ones."""
         best = None
         for i in range(len(word)):
             for r in self._rotations:
@@ -361,9 +362,6 @@ class SmallCancellationGroup(GroupPresentation):
                 m = _lcp(word[i:], r)
                 if 2 * m > L and (best is None or m > best[2]):
                     best = (i, r, m)
-            if best is not None and best[0] == i:
-                # leftmost position wins; keep the longest match there
-                pass
         return best
 
     def _dehn_shorten(self, word: Word) -> Word:
@@ -478,10 +476,7 @@ def surface_group(genus: int = 2) -> SmallCancellationGroup:
     """Fundamental group of a closed orientable surface, standard presentation."""
     if genus < 2:
         raise PresentationError("genus must be >= 2 (non-elementary)")
-    names = []
-    for i in range(genus):
-        names.extend([f"a{i}" if genus > 2 else "ab"[0], ""])
-    # keep single-letter names for genus 2, else a1,b1,a2,b2,...
+    # single-letter names for genus 2, else a1,b1,a2,b2,...
     if genus == 2:
         names = ["a", "b", "c", "d"]
         relator = "a b A B c d C D"

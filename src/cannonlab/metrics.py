@@ -64,6 +64,9 @@ class MetricModel:
     """Base evaluator; caches d(o, g) keyed by normal form."""
 
     kind = "abstract"
+    # distance per generator for a metric that is |g|_S times a constant,
+    # None for any other metric
+    radial_step: Optional[float] = None
 
     def __init__(self, group: GroupPresentation):
         self.group = group
@@ -92,6 +95,7 @@ class MetricModel:
 
 class WordMetric(MetricModel):
     kind = "word"
+    radial_step = 1.0
 
     def _eval(self, word: Word) -> float:
         return float(len(word))
@@ -104,7 +108,7 @@ class ScaledWordMetric(MetricModel):
         if factor <= 0:
             raise MetricError("scale factor must be positive")
         super().__init__(group)
-        self.factor = float(factor)
+        self.factor = self.radial_step = float(factor)
 
     def _eval(self, word: Word) -> float:
         return self.factor * len(word)
@@ -123,7 +127,7 @@ class GreenClosedForm(MetricModel):
         if not isinstance(group, FreeGroup):
             raise MetricError("closed-form Green metric needs a free group")
         super().__init__(group)
-        self.log_base = math.log(2 * group.rank - 1)
+        self.log_base = self.radial_step = math.log(2 * group.rank - 1)
 
     def _eval(self, word: Word) -> float:
         return self.log_base * len(word)
@@ -357,15 +361,11 @@ def translation_length(
     if g.length == 0:
         return TranslationLength(0.0, 0.0, "identity")
     group = metric.group
-    if isinstance(metric, (WordMetric, ScaledWordMetric)) and isinstance(
-        group, FreeGroup
-    ):
-        factor = getattr(metric, "factor", 1.0)
+    if metric.radial_step is not None and isinstance(group, FreeGroup):
         w = FreeGroup.cyclic_reduce(g.word)
-        return TranslationLength(factor * len(w), 0.0, "cyclic_length")
-    if isinstance(metric, GreenClosedForm):
-        w = FreeGroup.cyclic_reduce(g.word)
-        return TranslationLength(metric.log_base * len(w), 0.0, "cyclic_length")
+        return TranslationLength(
+            metric.radial_step * len(w), 0.0, "cyclic_length"
+        )
     if isinstance(metric, FuchsianOrbit):
         w = FreeGroup.cyclic_reduce(g.word)
         mat, log_scale = _scaled_matrix(group, w)

@@ -88,21 +88,16 @@ def truncation_error(
     aut: GeodesicAutomaton,
     comp: Component,
     potential: CylinderPotential,
-    sample_cap: int = 2000,
 ) -> float:
-    """epsilon_k = max |Psi^(k+1) - Psi^(k)| over sampled admissible
-    windows of the component."""
+    """epsilon_k = max |Psi^(k+1) - Psi^(k)| over every admissible window of
+    k+1 edges in the component."""
     k = potential.depth
-    deeper = potential.at_depth(k + 1)
-    eps = 0.0
-    n = 0
-    for v0, labels in _blocks(aut, comp.vertices, k + 2, cap=sample_cap):
-        w = labels
-        eps = max(eps, abs(deeper.value(w[: k + 1]) - potential.value(w[:k])))
-        n += 1
-    if n == 0:
+    op = TransferOperator(
+        aut, comp.vertices, [potential.at_depth(k + 1), potential], depth=k + 1
+    )
+    if op.psi.shape[1] == 0:
         raise ThermoError("component admits no windows at this depth")
-    return eps
+    return float(np.max(np.abs(op.psi[0] - op.psi[1])))
 
 
 # -- transfer operators ------------------------------------------------------
@@ -111,7 +106,6 @@ def _blocks(
     aut: GeodesicAutomaton,
     vertices: frozenset,
     n_edges: int,
-    cap: Optional[int] = None,
     allow_identity: bool = False,
 ):
     """Paths with the given number of edges inside the vertex set, as
@@ -123,8 +117,6 @@ def _blocks(
             u, labels = stack.pop()
             if len(labels) == n_edges:
                 out.append((v, labels))
-                if cap is not None and len(out) >= cap:
-                    return out
                 continue
             for label, w in sorted(aut.transitions[u], reverse=True):
                 if label == IDENTITY_LABEL and not allow_identity:
@@ -242,6 +234,12 @@ class Eigenpair:
     residual: float  # ||A x - lam x|| / |lam| of the right vector
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x scaled to unit norm with its largest-modulus entry real positive."""
+    pivot = x[int(np.argmax(np.abs(x)))]
+    return x * (abs(pivot) / pivot) / np.linalg.norm(x)
+
+
 def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
     """The leading eigenvalue (largest modulus) of a square sparse matrix
     with its right eigenvector, and its left one when asked for.
@@ -251,6 +249,11 @@ def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
     two calls on the same matrix return the same bits.  Every answer must
     pass ||A x - lam x|| <= RESIDUAL_TOL |lam|; a failed residual check or
     an ARPACK run that does not converge raises ThermoError.
+
+    LAPACK balances badly scaled matrices (entries 1e-20 next to 1e-4): its
+    eigenvalue stays accurate, but the back-transformed vector can miss the
+    residual check.  The dense path then takes one inverse-iteration step,
+    a solve with A - lam I, before checking again.
 
     Ties: when several eigenvalues share the top modulus, the dense path
     returns the one with the largest real part, then the largest imaginary
@@ -263,8 +266,10 @@ def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
     n = mat.shape[0]
     if n == 0:
         raise ThermoError("empty transfer matrix")
-    if n < DENSE_BELOW:
-        w, vr = np.linalg.eig(mat.toarray())
+    dense = n < DENSE_BELOW
+    if dense:
+        a = mat.toarray()
+        w, vr = np.linalg.eig(a)
         top = float(np.max(np.abs(w)))
         tied = np.flatnonzero(np.abs(w) >= top * (1.0 - TIE_RTOL))
         re = w[tied].real
@@ -280,10 +285,14 @@ def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
                 f"ARPACK did not converge on a {n}-block matrix"
             ) from exc
         i = 0
-    lam, x = complex(w[i]), vr[:, i]
-    pivot = x[int(np.argmax(np.abs(x)))]
-    x = x * (abs(pivot) / pivot) / np.linalg.norm(x)
+    lam, x = complex(w[i]), _unit(vr[:, i])
     resid = float(np.linalg.norm(mat @ x - lam * x))
+    if dense and not resid <= RESIDUAL_TOL * abs(lam):
+        try:
+            x = _unit(np.linalg.solve(a - w[i] * np.eye(n), x))
+        except np.linalg.LinAlgError:
+            pass  # A - lam I exactly singular: keep the vector, fail below
+        resid = float(np.linalg.norm(mat @ x - lam * x))
     if not resid <= RESIDUAL_TOL * abs(lam):
         raise ThermoError(
             f"eigen residual {resid:.2e} above {RESIDUAL_TOL:.0e} * |{lam:.6g}|"
@@ -334,7 +343,9 @@ def pressure_orbit_estimate(
     return math.log(tr) / n
 
 
-def _bisect_root(f, lo: float, hi: float, width: float = 1e-8) -> float:
+def _root(f, lo: float, hi: float) -> float:
+    """A zero of f by Brent's method to near machine precision, after widening
+    [lo, hi] (at most six times) until f changes sign on it."""
     flo, fhi = f(lo), f(hi)
     expand = 0
     while flo * fhi > 0:
@@ -343,16 +354,7 @@ def _bisect_root(f, lo: float, hi: float, width: float = 1e-8) -> float:
         expand += 1
         if expand > 6:
             raise ThermoError("root bracketing failed")
-    root = scipy.optimize.brentq(f, lo, hi, xtol=width, rtol=8.9e-16)
-    # two secant polish steps past the bracket tolerance
-    a, b = root - width, root
-    fa, fb = f(a), f(b)
-    for _ in range(2):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        a, fa, b, fb = b, fb, c, f(c)
-    return b
+    return scipy.optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def growth_rate(
@@ -363,7 +365,7 @@ def growth_rate(
 ) -> float:
     """The unique v with P(-v * Psi) = 0."""
     op = TransferOperator(aut, comp.vertices, [potential])
-    return _bisect_root(
+    return _root(
         lambda s: pressure_terms(op, [-s]), bracket[0], bracket[1]
     )
 
@@ -391,13 +393,16 @@ def choose_depth(
 
 @dataclass
 class GibbsData:
+    """Perron data of a compiled operator at real coefficients c, and the
+    equilibrium state mu of sum_i c_i psi_i that it defines."""
+
     op: TransferOperator
-    matrix: scipy.sparse.csr_matrix  # the operator at -s
+    c: np.ndarray
+    matrix: scipy.sparse.csr_matrix  # the operator at c
     eigenvalue: float
     right: np.ndarray  # h, positive
     left: np.ndarray  # nu, positive, nu . h = 1
     stationary: np.ndarray  # pi(b) = nu(b) h(b), sums to 1
-    s: float
 
     @property
     def pressure(self) -> float:
@@ -408,18 +413,22 @@ class GibbsData:
         a = self.matrix.toarray()
         return a * self.right[None, :] / (self.eigenvalue * self.right[:, None])
 
+    def integrals(self) -> np.ndarray:
+        """The integral of each psi_i against mu, nu (A o psi_i) h / lam, which
+        is also the derivative of the pressure in c_i."""
+        s, psi = self.op.structure.matrix, self.op.psi
+        rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+        mass = self.left[rows] * np.exp(self.c @ psi) * self.right[s.indices]
+        return psi @ mass / self.eigenvalue
 
-def gibbs_data(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    potential: CylinderPotential,
-    s: float,
-) -> GibbsData:
-    """Perron data of the operator of -s * Psi.  Raises ThermoError when the
-    leading eigenvalue is not real and positive (a periodic component solved
-    by ARPACK, see leading_eigen) or an eigenvector is not positive."""
-    op = TransferOperator(aut, comp.vertices, [potential])
-    mat = op.matrix([-s])
+
+def perron(op: TransferOperator, c: Sequence[float]) -> GibbsData:
+    """Perron data of the compiled operator at real coefficients c.  Raises
+    ThermoError when the leading eigenvalue is not real and positive (a
+    periodic component solved by ARPACK, see leading_eigen) or an
+    eigenvector is not positive."""
+    c = np.asarray(c, dtype=float)
+    mat = op.matrix(c)
     eig = leading_eigen(mat, left=True)
     lam = eig.value
     if lam.real <= 0 or abs(lam.imag) > RESIDUAL_TOL * abs(lam):
@@ -432,7 +441,17 @@ def gibbs_data(
     nu = nu / float(nu @ h)
     pi = nu * h
     pi = pi / pi.sum()
-    return GibbsData(op, mat, lam.real, h, nu, pi, s)
+    return GibbsData(op, c, mat, lam.real, h, nu, pi)
+
+
+def gibbs_data(
+    aut: GeodesicAutomaton,
+    comp: Component,
+    potential: CylinderPotential,
+    s: float,
+) -> GibbsData:
+    """Perron data of the operator of -s * Psi; see perron."""
+    return perron(TransferOperator(aut, comp.vertices, [potential]), [-s])
 
 
 def gibbs_ratio_check(
@@ -443,7 +462,8 @@ def gibbs_ratio_check(
     depth_test: int = 6,
 ) -> tuple[float, float]:
     """Ratio mu[cylinder] / exp(-nP + S_n Phi) over all cylinders of
-    length up to depth_test, Phi = -s Psi.  Returns (min, max)."""
+    length up to depth_test, Phi = c[0] Psi for the one-potential data of
+    gibbs_data.  Returns (min, max)."""
     k = gd.op.depth
     index = {b: i for i, b in enumerate(gd.op.blocks)}
     q = gd.transition()
@@ -472,7 +492,7 @@ def gibbs_ratio_check(
                 mass *= q[a_, b_]
             # full truncated Birkhoff sum over all n positions: including
             # the tail windows keeps the constants depth-independent
-            s_n = -gd.s * potential.birkhoff(labels)
+            s_n = gd.c[0] * potential.birkhoff(labels)
             ref = math.exp(-n * gd.pressure + s_n)
             ratio = mass / ref
             lo, hi = min(lo, ratio), max(hi, ratio)
@@ -509,20 +529,9 @@ def manhattan_pair(
         op = TransferOperator(
             aut, comp.vertices, [potential_d, potential_dstar]
         )
-    return _bisect_root(
+    return _root(
         lambda s: pressure_terms(op, [-s, -t]), bracket[0], bracket[1]
     )
-
-
-def _theta_derivative(theta, t: float, h: float = 1e-4) -> float:
-    """5-point central difference with a Richardson cross-check."""
-    d1 = (
-        theta(t - 2 * h) - 8 * theta(t - h) + 8 * theta(t + h) - theta(t + 2 * h)
-    ) / (12 * h)
-    d_coarse = (theta(t + 2 * h) - theta(t - 2 * h)) / (4 * h)
-    if abs(d1 - d_coarse) > 1e-2 * max(1.0, abs(d1)):
-        raise ThermoError("derivative estimate unstable")
-    return d1
 
 
 @dataclass
@@ -540,41 +549,28 @@ def correlation_exponent(
     potential_dstar: CylinderPotential,
 ) -> CorrelationExponent:
     """xi solves theta'(xi) = -1 for the pair Manhattan curve of two
-    growth-normalized metrics; alpha = xi + theta(xi).  A dependent pair
-    yields the affine curve theta(t) = 1 - t and is flagged degenerate."""
+    growth-normalized metrics; alpha = xi + theta(xi).  The slope is exact:
+    theta'(t) = -int Psi_dstar dmu / int Psi_d dmu for the equilibrium state
+    mu of -theta(t) Psi_d - t Psi_dstar.  A dependent pair yields the affine
+    curve theta(t) = 1 - t and is flagged degenerate."""
 
     op = TransferOperator(aut, comp.vertices, [potential_d, potential_dstar])
-    cache: dict[float, float] = {}
-    last = [1.0]  # theta(0) = 1 for a growth-normalized pair
 
     def theta(t: float) -> float:
-        v = cache.get(t)
-        if v is None:
-            # warm-started bracket: theta is 1-Lipschitz on normalized pairs
-            g = last[0]
-            v = manhattan_pair(
-                aut, comp, potential_d, potential_dstar, t,
-                bracket=(g - 0.6, g + 0.6),
-                op=op,
-            )
-            cache[t] = v
-            last[0] = v
-        return v
+        return manhattan_pair(aut, comp, potential_d, potential_dstar, t, op=op)
 
-    t0, t1 = theta(0.0), theta(1.0)
-    mid = theta(0.5)
+    t0, t1, mid = theta(0.0), theta(1.0), theta(0.5)
     if abs(mid - 0.5 * (t0 + t1)) < 1e-9:
         # affine curve: the metrics are roughly similar, alpha degenerates to 1
         return CorrelationExponent(0.5, 1.0, mid, True)
 
     def slope_plus_one(t: float) -> float:
-        return _theta_derivative(theta, t) + 1.0
+        int_d, int_dstar = perron(op, [-theta(t), -t]).integrals()
+        return 1.0 - int_dstar / int_d
 
-    # alpha = xi + theta(xi) is stationary at the root of theta' + 1, so a
-    # 1e-6 bracket on xi already gives alpha to ~1e-12
-    xi = _bisect_root(slope_plus_one, 0.05, 0.95, width=1e-6)
-    alpha = xi + theta(xi)
-    return CorrelationExponent(xi, alpha, theta(xi), False)
+    xi = _root(slope_plus_one, 0.05, 0.95)
+    theta_xi = theta(xi)
+    return CorrelationExponent(xi, xi + theta_xi, theta_xi, False)
 
 
 # -- complex spectra ---------------------------------------------------------

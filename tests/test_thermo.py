@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from cannonlab import automaton, cli, metrics, thermo
+from cannonlab import automaton, cli, groups, metrics, shift, thermo
 
 
 def test_pressure_closed_form_for_word_potential(free2_aut, free2_comp, free2, log3):
@@ -49,6 +49,27 @@ def test_truncation_error_decays_for_fuchsian(schottky_aut, schottky_comp, fuchs
         for k in (2, 4, 6)
     ]
     assert errs[0] > errs[1] > errs[2] > 0.0
+
+
+def test_truncation_error_is_the_maximum_over_all_windows(
+    schottky_aut, schottky_comp, fuchsian
+):
+    # depth 7: 26244 windows of 8 edges; the largest difference is not
+    # among the first 2000 in DFS order
+    k = 7
+    pot = thermo.cylinder_potential(fuchsian, k)
+    deeper = pot.at_depth(k + 1)
+    paths = [(v, ()) for v in schottky_comp.vertices]
+    for _ in range(k + 1):
+        paths = [
+            (w, labels + (a,))
+            for u, labels in paths
+            for a, w in schottky_aut.transitions[u]
+            if a != automaton.IDENTITY_LABEL and w in schottky_comp.vertices
+        ]
+    assert len(paths) == 4 * 3 ** (k + 1)
+    brute = max(abs(deeper.value(w) - pot.value(w[:k])) for _, w in paths)
+    assert thermo.truncation_error(schottky_aut, schottky_comp, pot) == brute
 
 
 def test_choose_depth_stops_at_one_for_word_metric(free2_aut, free2_comp, free2):
@@ -109,9 +130,9 @@ def test_correlation_exponent_degenerate_for_similar_metrics(
     assert res.alpha == 1.0
 
 
-def test_correlation_exponent_strictly_below_one(
-    schottky_aut, schottky_comp, schottky, fuchsian
-):
+@pytest.fixture(scope="module")
+def normalized_pair(schottky_aut, schottky_comp, schottky, fuchsian):
+    """Growth-normalized word and depth-4 Fuchsian potentials."""
     pw = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
     pf = thermo.cylinder_potential(fuchsian, 4)
     vw = thermo.growth_rate(schottky_aut, schottky_comp, pw)
@@ -120,11 +141,65 @@ def test_correlation_exponent_strictly_below_one(
     pfn = thermo.cylinder_potential(
         metrics.LinearCombination([(vf, fuchsian)]), 4
     )
+    return pwn, pfn
+
+
+def test_equilibrium_integrals_of_constant_potentials(
+    free2_aut, free2_comp, free2, log3
+):
+    pw = thermo.cylinder_potential(metrics.WordMetric(free2), 1)
+    pg = thermo.cylinder_potential(metrics.GreenClosedForm(free2), 1)
+    op = thermo.TransferOperator(free2_aut, free2_comp.vertices, [pw, pg])
+    for c in ([-log3, 0.0], [-0.3, -0.5]):
+        gd = thermo.perron(op, c)
+        assert np.allclose(gd.integrals(), [1.0, log3], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_manhattan_slope_matches_central_difference(
+    schottky_aut, schottky_comp, normalized_pair, t
+):
+    pwn, pfn = normalized_pair
+    op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pwn, pfn])
+
+    def theta(x):
+        return thermo.manhattan_pair(
+            schottky_aut, schottky_comp, pwn, pfn, x, op=op
+        )
+
+    int_d, int_dstar = thermo.perron(op, [-theta(t), -t]).integrals()
+    h = 1e-4
+    central = (theta(t + h) - theta(t - h)) / (2 * h)
+    assert abs(-int_dstar / int_d - central) < 1e-6
+
+
+def test_correlation_exponent_strictly_below_one(
+    schottky_aut, schottky_comp, normalized_pair
+):
+    pwn, pfn = normalized_pair
     res = thermo.correlation_exponent(schottky_aut, schottky_comp, pwn, pfn)
     assert not res.degenerate
     assert 0.0 < res.xi < 1.0
     assert 0.0 < res.alpha < 1.0
     assert abs(res.alpha - (res.xi + res.theta_at_xi)) < 1e-12
+
+
+def test_correlation_exponent_of_the_criterion_13_pair():
+    group = groups.standard_schottky((3.0, 30.0))
+    aut = automaton.build_shortlex_acceptor(group, 1)
+    comp = shift.word_maximal_components(aut)[0]
+    fo = metrics.FuchsianOrbit(group)
+    vw = thermo.growth_rate(aut, comp, thermo.cylinder_potential(metrics.WordMetric(group), 1))
+    vf = thermo.growth_rate(
+        aut, comp, thermo.cylinder_potential(fo, 6), bracket=(0.05, 2.0)
+    )
+    ce = thermo.correlation_exponent(
+        aut,
+        comp,
+        thermo.cylinder_potential(metrics.ScaledWordMetric(group, vw), 1),
+        thermo.cylinder_potential(metrics.LinearCombination([(vf, fo)]), 6),
+    )
+    assert abs(ce.alpha - 0.97144292216) < 1e-8
 
 
 def test_spectral_scan_distinguishes_lattice_points(free2_aut, free2_comp, free2, log3):
@@ -212,7 +287,6 @@ def _parallel_edge_automaton(free2):
         accepts_all_geodesics=False,
         shortlex_unique=False,
         r_cone=1,
-        state_reps=((), ()),
     )
 
 
@@ -346,3 +420,20 @@ def test_leading_eigen_tie_rule():
     first = thermo.leading_eigen(periodic)
     assert abs(abs(first.value) - rho) <= 1e-12 * rho
     assert thermo.leading_eigen(periodic).value == first.value
+
+
+def test_badly_scaled_dense_operator_passes_the_residual_check(tmp_path):
+    # at s = 4 the 4x4 matrix has entries from 7e-20 to 4.5e-4 and a tied
+    # top eigenvalue; LAPACK's vector misses the residual check
+    group = groups.standard_schottky((3.0, 30.0))
+    aut = automaton.build_shortlex_acceptor(group, 1)
+    comp = shift.word_maximal_components(aut)[0]
+    pot = thermo.cylinder_potential(metrics.FuchsianOrbit(group), 1)
+    assert abs(thermo.growth_rate(aut, comp, pot) - 0.20284560534) < 1e-9
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "group": {"family": "schottky", "traces": [3, 30]},
+        "metrics": [{"kind": "fuchsian_orbit"}],
+        "thermo": {"depth": 1},
+    }))
+    assert cli.main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
