@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,17 @@ class UnsaturatedError(AutomatonError):
     def __init__(self, message: str, radius: int):
         super().__init__(message)
         self.radius = radius
+
+
+class Level(NamedTuple):
+    """The accepted words of one length, as arrays: word i is word
+    ``parent[i]`` of the previous level followed by ``label[i]``, and its
+    path ends at ``state[i]``.  Level 0 is the empty word."""
+
+    length: int
+    state: np.ndarray
+    label: np.ndarray
+    parent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,22 +88,74 @@ class GeodesicAutomaton:
 
     # -- language ----------------------------------------------------------
 
-    def accepted_counts(self, n_max: int) -> list[int]:
-        """Number of accepted words of each length 0..n_max (0-edges excluded)."""
+    def accepted_counts(
+        self, n_max: int, vertices: Optional[frozenset] = None
+    ) -> list[int]:
+        """Number of accepted words of each length 0..n_max (0-edges
+        excluded), in exact integers; with ``vertices``, only words whose
+        path stays in that set after the initial state."""
+        rows = self._letter_edges(vertices)
         vec = np.zeros(self.n_states, dtype=object)
         vec[self.initial] = 1
         counts = [1]
         for _ in range(n_max):
             nxt = np.zeros(self.n_states, dtype=object)
-            for u, row in enumerate(self.transitions):
-                if not vec[u]:
-                    continue
-                for label, v in row:
-                    if label != IDENTITY_LABEL:
-                        nxt[v] += vec[u]
+            for u, row in enumerate(rows):
+                for _, v in row:
+                    nxt[v] += vec[u]
             vec = nxt
             counts.append(int(vec.sum()))
         return counts
+
+    def walk(
+        self,
+        n_max: int,
+        vertices: Optional[frozenset] = None,
+        cap: Optional[int] = None,
+    ) -> Iterator[Level]:
+        """The accepted words of length 0..n_max, restricted like
+        ``accepted_counts``, one Level per length in shortlex order (for a
+        shortlex acceptor, the order of ``group.sphere_words``).  The sizes
+        are predicted before any array is allocated: a ball larger than
+        ``cap`` raises ResourceCapError here, before the walk starts."""
+        total = sum(self.accepted_counts(n_max, vertices))
+        if cap is not None and total > cap:
+            raise ResourceCapError(
+                f"walk to length {n_max} would visit {total} words, cap {cap}"
+            )
+        return self._levels(n_max, vertices)
+
+    def _letter_edges(self, vertices: Optional[frozenset]) -> list[list]:
+        """Per state, its non-identity edges (label, target) in alphabet
+        order, ending in ``vertices`` when that is given."""
+        order = self.group._order
+        return [
+            sorted(
+                ((label, v) for label, v in row if label != IDENTITY_LABEL
+                 and (vertices is None or v in vertices)),
+                key=lambda edge: order[edge[0]],
+            )
+            for row in self.transitions
+        ]
+
+    def _levels(self, n_max: int, vertices: Optional[frozenset]) -> Iterator[Level]:
+        rows = self._letter_edges(vertices)
+        degree = np.array([len(r) for r in rows], dtype=np.int64)
+        first = np.cumsum(degree) - degree  # edges of state u start here
+        edge_label = np.array([e[0] for r in rows for e in r], dtype=np.int64)
+        edge_target = np.array([e[1] for r in rows for e in r], dtype=np.int64)
+
+        state = np.array([self.initial], dtype=np.int64)
+        yield Level(0, state, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        for n in range(1, n_max + 1):
+            fan = degree[state]
+            parent = np.repeat(np.arange(len(state), dtype=np.int64), fan)
+            # child i of a parent whose children start at position p takes
+            # the parent's first edge plus i - p
+            shift = np.repeat(first[state] - (np.cumsum(fan) - fan), fan)
+            edge = shift + np.arange(len(parent), dtype=np.int64)
+            state = edge_target[edge]
+            yield Level(n, state, edge_label[edge], parent)
 
     def accepted_words(self, n_max: int) -> Iterator[tuple[Word, int]]:
         """Yield (word, end_state) for every accepted word of length <= n_max."""

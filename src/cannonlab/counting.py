@@ -14,13 +14,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.stats
 
-from .automaton import IDENTITY_LABEL, GeodesicAutomaton, augment
-from .groups import FreeGroup, GroupPresentation, ResourceCapError, Word
+from .automaton import GeodesicAutomaton, Level, augment, build_shortlex_acceptor
+from .groups import FreeGroup, ResourceCapError, Word
 from .metrics import FuchsianOrbit, LinearCombination, MetricModel
 from .shift import Component, word_maximal_components
 from .thermo import CylinderPotential, TransferOperator
@@ -33,32 +33,52 @@ class CountingError(Exception):
     pass
 
 
-# -- per-sphere distance evaluation ------------------------------------------
+# -- per-level distance evaluation ------------------------------------------
 
-def _fuchsian_sphere_arrays(metric: FuchsianOrbit, n_max: int) -> list[np.ndarray]:
-    """Orbit distances for every reduced word of each length, built by
-    batched incremental 2x2 products in a fixed letter order (so that two
-    orbit metrics on the same group yield element-aligned arrays)."""
-    group = metric.group
-    letters = [i for i in range(1, group.rank + 1)]
-    letters += [-i for i in range(1, group.rank + 1)]
-    gens = {s: group.matrix_of((s,)) for s in letters}
+def _level_distances(metric: MetricModel) -> Callable[[Level], np.ndarray]:
+    """An evaluator of d(o, x) over the levels of a walk, fed every level
+    in order from length 0; it keeps what it needs of the previous level."""
+    step = metric.radial_step
+    if step is not None:
+        return lambda level: np.full(len(level.state), step * level.length)
+    if isinstance(metric, FuchsianOrbit):
+        return _fuchsian_levels(metric)
+    if isinstance(metric, LinearCombination):
+        parts = [(c, _level_distances(m)) for c, m in metric.terms]
+        return lambda level: sum(c * part(level) for c, part in parts)
+    # any other metric: rebuild the words and evaluate them one by one
+    words: list[Word] = [()]
+
+    def generic(level: Level) -> np.ndarray:
+        nonlocal words
+        if level.length:
+            words = [
+                words[p] + (s,)
+                for p, s in zip(level.parent.tolist(), level.label.tolist())
+            ]
+        return np.array([metric.dist_word(w) for w in words])
+
+    return generic
+
+
+def _fuchsian_levels(metric: FuchsianOrbit) -> Callable[[Level], np.ndarray]:
+    """Orbit distances by batched 2x2 products: each word's matrix is its
+    parent's times the generator of its last label."""
+    r = metric.group.rank
+    # generator of label s at index s + r (the identity at the unused 0)
+    gens = np.stack([
+        metric.group.matrix_of((s,)) if s else np.eye(2) for s in range(-r, r + 1)
+    ])
     frame, frame_inv = metric._frame, metric._frame_inv
-
     mats = np.eye(2)[None, :, :]
-    last = np.zeros(1, dtype=np.int64)
     log_scale = np.zeros(1)
-    out = [np.zeros(1)]
-    for _ in range(n_max):
-        chunks_m, chunks_last, chunks_log = [], [], []
-        for s in letters:
-            keep = last != -s
-            chunks_m.append(mats[keep] @ gens[s])
-            chunks_last.append(np.full(int(keep.sum()), s, dtype=np.int64))
-            chunks_log.append(log_scale[keep])
-        mats = np.concatenate(chunks_m)
-        last = np.concatenate(chunks_last)
-        log_scale = np.concatenate(chunks_log)
+
+    def fuchsian(level: Level) -> np.ndarray:
+        nonlocal mats, log_scale
+        if level.length == 0:
+            return np.zeros(1)
+        mats = mats[level.parent] @ gens[level.label + r]
+        log_scale = log_scale[level.parent]
         top = np.abs(mats).reshape(len(mats), 4).max(axis=1)
         big = top > 1e100
         if big.any():
@@ -71,18 +91,9 @@ def _fuchsian_sphere_arrays(metric: FuchsianOrbit, n_max: int) -> list[np.ndarra
             log_cosh + math.log(2.0),
             np.arccosh(np.maximum(np.exp(np.minimum(log_cosh, 31.0)), 1.0)),
         )
-        out.append(np.where(log_cosh <= 0.0, 0.0, dist))
-    return out
+        return np.where(log_cosh <= 0.0, 0.0, dist)
 
-
-def _sphere_sizes(group: GroupPresentation, n_max: int, cap: int) -> list[int]:
-    if isinstance(group, FreeGroup):
-        r = group.rank
-        sizes = [1] + [2 * r * (2 * r - 1) ** (n - 1) for n in range(1, n_max + 1)]
-        if sum(sizes) > cap:
-            raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
-        return sizes
-    return [len(group.sphere_words(n, cap=cap)) for n in range(n_max + 1)]
+    return fuchsian
 
 
 def sphere_distance_arrays(
@@ -90,31 +101,30 @@ def sphere_distance_arrays(
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max.
 
-    Arrays produced for metrics on the same group share one element order,
-    so they may be combined entrywise.
+    On a free group the elements are the words of the shortlex acceptor
+    (exact at cone radius 1), walked level by level; on any other group
+    they are the normal forms of ``sphere_words``.  Either way each sphere
+    is in shortlex order, so arrays for metrics on the same group may be
+    combined entrywise.
     """
+    group = metric.group
+    if isinstance(group, FreeGroup):
+        evaluate = _level_distances(metric)
+        levels = build_shortlex_acceptor(group, 1).walk(n_max, cap=cap)
+        return [evaluate(level) for level in levels]
+    # no coding at hand: enumerate normal forms and evaluate one by one
     step = metric.radial_step
-    if step is not None:
-        sizes = _sphere_sizes(metric.group, n_max, cap)
-        return [np.full(sizes[n], step * n) for n in range(n_max + 1)]
-    if isinstance(metric, FuchsianOrbit):
-        _sphere_sizes(metric.group, n_max, cap)  # enforce the cap
-        return _fuchsian_sphere_arrays(metric, n_max)
-    if isinstance(metric, LinearCombination):
-        parts = [sphere_distance_arrays(m, n_max, cap) for _, m in metric.terms]
-        return [
-            sum(c * parts[i][n] for i, (c, _) in enumerate(metric.terms))
-            for n in range(n_max + 1)
-        ]
-    # generic fallback: enumerate normal forms and evaluate one by one
     out = []
     total = 0
     for n in range(n_max + 1):
-        words = metric.group.sphere_words(n, cap=cap)
+        words = group.sphere_words(n, cap=cap)
         total += len(words)
         if total > cap:
             raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
-        out.append(np.array([metric.dist_word(w) for w in words]))
+        if step is not None:
+            out.append(np.full(len(words), step * n))
+        else:
+            out.append(np.array([metric.dist_word(w) for w in words]))
     return out
 
 
@@ -346,27 +356,13 @@ def _restricted_direct_sums(
     cap: int,
 ) -> np.ndarray:
     """Sigma e^{-s d(o,x)} over length-n elements whose accepted path runs
-    inside the component, by depth-first walk."""
+    inside the component, one level of the walk at a time."""
     sums = np.zeros(n_max + 1)
-    comp_err = np.zeros(n_max + 1)  # Kahan compensation per length
-    stack = [(aut.initial, (), 0)]
-    seen = 0
-    while stack:
-        state, word, depth = stack.pop()
-        if depth > 0:
-            term = math.exp(-s * metric.dist_word(word)) - comp_err[depth]
-            total = sums[depth] + term
-            comp_err[depth] = (total - sums[depth]) - term
-            sums[depth] = total
-            seen += 1
-            if seen > cap:
-                raise ResourceCapError("restricted Poincare sum exceeds cap")
-        if depth == n_max:
-            continue
-        for label, target in aut.transitions[state]:
-            if label == IDENTITY_LABEL or target not in comp.vertices:
-                continue
-            stack.append((target, word + (label,), depth + 1))
+    evaluate = _level_distances(metric)
+    for level in aut.walk(n_max, comp.vertices, cap):
+        d = evaluate(level)
+        if level.length:
+            sums[level.length] = np.sum(np.exp(-s * d))
     return sums
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -89,9 +89,6 @@ class MetricModel:
     def dist_between(self, x: Element, y: Element) -> float:
         return self.dist_word(invert_word(x.word) + y.word)
 
-    def dist_many(self, words: Sequence[Word]) -> np.ndarray:
-        return np.array([self.dist_word(w) for w in words])
-
 
 class WordMetric(MetricModel):
     kind = "word"
@@ -155,21 +152,18 @@ def _radial_green(rank: int, absorbing_radius: int) -> np.ndarray:
     return scipy.sparse.linalg.spsolve(A, rhs)
 
 
-def green_function(
-    group: GroupPresentation,
-    walk: WalkSpec,
-    g: Element,
-    absorbing_radius: int,
-) -> float:
-    """G(o, g) for the killed walk: solve (I - P)u = delta_o with zero
-    boundary outside the ball of the given radius."""
-    n = len(g.word)
-    if n >= absorbing_radius:
-        raise MetricError("element outside the absorbing ball")
+def _killed_walk(
+    group: GroupPresentation, walk: WalkSpec, absorbing_radius: int
+) -> Callable[[Word], float]:
+    """G(o, .) for the walk killed on leaving the ball of radius
+    absorbing_radius - 1, from one solve of (I - P)^T u = delta_o with zero
+    boundary outside the ball: a lookup of the occupation time u(g) by the
+    normal form of g."""
     if isinstance(group, FreeGroup) and walk.is_uniform():
         u = _radial_green(group.rank, absorbing_radius)
-        sphere = 1 if n == 0 else 2 * group.rank * (2 * group.rank - 1) ** (n - 1)
-        return float(u[n]) / sphere
+        q = 2 * group.rank
+        # G is constant on spheres: u(n) over the size of the n-sphere
+        return lambda w: float(u[len(w)]) / (q * (q - 1) ** (len(w) - 1) if w else 1)
     # generic sparse solve on the enumerated ball
     ball = group.ball_words(absorbing_radius - 1)
     index = {w: i for i, w in enumerate(ball)}
@@ -195,10 +189,26 @@ def green_function(
     residual = np.linalg.norm(A.T @ u - rhs)
     if residual > 1e-8:
         raise MetricError(f"Green solve ill-conditioned, residual {residual:.2e}")
-    return float(u[index[g.word]])
+    return lambda w: float(u[index[w]])
+
+
+def green_function(
+    group: GroupPresentation,
+    walk: WalkSpec,
+    g: Element,
+    absorbing_radius: int,
+) -> float:
+    """G(o, g) for the killed walk: solve (I - P)u = delta_o with zero
+    boundary outside the ball of the given radius."""
+    if len(g.word) >= absorbing_radius:
+        raise MetricError("element outside the absorbing ball")
+    return _killed_walk(group, walk, absorbing_radius)(g.word)
 
 
 class GreenNumeric(MetricModel):
+    """Green metric -log G(o, g) / G(o, o) of a killed walk; the one solve
+    made at construction serves every element as a lookup."""
+
     kind = "green_numeric"
 
     def __init__(
@@ -212,20 +222,17 @@ class GreenNumeric(MetricModel):
         self.walk = walk if walk is not None else WalkSpec.uniform(group)
         self.absorbing_radius = absorbing_radius
         self.safety_margin = safety_margin
-        self._g_oo = green_function(
-            group, self.walk, group.identity(), absorbing_radius
-        )
+        self._green = _killed_walk(group, self.walk, absorbing_radius)
+        self._g_oo = self._green(())
 
     def _eval(self, word: Word) -> float:
-        if len(word) > self.absorbing_radius - self.safety_margin:
+        # the lookup covers lengths up to absorbing_radius - 1
+        if len(word) > self.absorbing_radius - max(self.safety_margin, 1):
             raise MetricError(
                 "element too close to the absorbing boundary; "
                 "increase absorbing_radius"
             )
-        g = green_function(
-            self.group, self.walk, Element(self.group, word), self.absorbing_radius
-        )
-        return -math.log(g / self._g_oo)
+        return -math.log(self._green(word) / self._g_oo)
 
 
 def _base_point_frame(z: complex) -> np.ndarray:

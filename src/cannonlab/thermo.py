@@ -55,7 +55,10 @@ class CylinderPotential:
         labels = tuple(s for s in labels if s != IDENTITY_LABEL)
         v = self._table.get(labels)
         if v is None:
-            d = self.metric.dist_word
+            step = self.metric.radial_step
+            # windows of accepted paths are geodesic: a radial metric reads
+            # step * length on them without the word problem
+            d = self.metric.dist_word if step is None else lambda w: step * len(w)
             v = d(labels) - d(labels[1:]) if labels else 0.0
             self._table[labels] = v
         return v
@@ -345,7 +348,9 @@ def pressure_orbit_estimate(
 
 def _root(f, lo: float, hi: float) -> float:
     """A zero of f by Brent's method to near machine precision, after widening
-    [lo, hi] (at most six times) until f changes sign on it."""
+    [lo, hi] (at most six times) until f changes sign on it.  Brent's
+    method starts from f at both ends, which the sign check has already
+    computed, so those two values are handed back rather than recomputed."""
     flo, fhi = f(lo), f(hi)
     expand = 0
     while flo * fhi > 0:
@@ -354,7 +359,11 @@ def _root(f, lo: float, hi: float) -> float:
         expand += 1
         if expand > 6:
             raise ThermoError("root bracketing failed")
-    return scipy.optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    known = {lo: flo, hi: fhi}
+    return scipy.optimize.brentq(
+        lambda x: known[x] if x in known else f(x),
+        lo, hi, xtol=1e-14, rtol=8.9e-16,
+    )
 
 
 def growth_rate(

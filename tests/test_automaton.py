@@ -98,3 +98,56 @@ def test_schottky_acceptor_matches_free_structure(schottky_aut):
 def test_state_cap_is_enforced(genus2):
     with pytest.raises(groups.ResourceCapError):
         automaton.build_shortlex_acceptor(genus2, 2, state_cap=3)
+
+
+def _level_words(levels):
+    """Rebuild the label words of each level of a walk."""
+    out, prev = [], [()]
+    for level in levels:
+        if level.length:
+            prev = [prev[p] + (s,) for p, s in zip(level.parent, level.label)]
+        out.append(prev)
+    return out
+
+
+def test_walk_lists_accepted_words_in_shortlex_order(free2_aut, genus2_aut, genus2):
+    for aut in (free2_aut, genus2_aut):
+        levels = list(aut.walk(4))
+        words = _level_words(levels)
+        by_length = [[] for _ in range(5)]
+        for w, state in aut.accepted_words(4):
+            by_length[len(w)].append((w, state))
+        for n, level in enumerate(levels):
+            want = sorted(by_length[n], key=lambda ws: aut.group.shortlex_key(ws[0]))
+            assert words[n] == [w for w, _ in want]
+            assert level.state.tolist() == [s for _, s in want]
+        assert [len(w) for w in words] == aut.accepted_counts(4)
+    # the shortlex acceptor of the surface group lists its spheres
+    for n, level_words in enumerate(_level_words(genus2_aut.walk(4))):
+        assert level_words == genus2.sphere_words(n)
+
+
+def test_walk_restricted_to_a_component(genus2_aut):
+    comp = max(shift.scc_decompose(genus2_aut), key=lambda c: len(c.vertices))
+    words = _level_words(genus2_aut.walk(4, comp.vertices))
+    want = [[] for _ in range(5)]
+    for w, _ in genus2_aut.accepted_words(4):
+        u, inside = genus2_aut.initial, True
+        for s in w:
+            u = genus2_aut.step(u, s)
+            inside = inside and u in comp.vertices
+        if inside:
+            want[len(w)].append(w)
+    assert [sorted(ws) for ws in words] == [sorted(ws) for ws in want]
+    assert [len(ws) for ws in words] == genus2_aut.accepted_counts(4, comp.vertices)
+
+
+def test_walk_cap_fires_before_the_walk_starts(free2_aut, free2_comp, monkeypatch):
+    started = []
+    monkeypatch.setattr(
+        automaton.GeodesicAutomaton, "_levels", lambda *args: started.append(args)
+    )
+    ball = 1 + 2 * (3 ** 11 - 1)  # |B(11)| in F2
+    with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
+        free2_aut.walk(11, free2_comp.vertices, cap=1000)
+    assert started == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cannonlab import counting, groups, metrics, thermo
+from cannonlab import automaton, counting, groups, metrics, thermo
 
 
 def test_tree_ball_counts(free2):
@@ -184,3 +184,76 @@ def test_step_function_validation():
         counting.report_from_step_function([1.0, 1.0], [1, 2])
     with pytest.raises(counting.CountingError):
         counting.report_from_step_function([1.0, 2.0], [3, 2])
+
+
+def test_restricted_poincare_sums_for_an_orbit_metric(schottky_aut, schottky_comp, fuchsian):
+    s, n_max = 0.5, 6
+    res = counting.poincare_compare(
+        schottky_aut, fuchsian, s, n_max, comps=[schottky_comp]
+    )
+    # brute force: accepted words whose path stays in the component
+    terms = [[] for _ in range(n_max + 1)]
+    for word, _ in schottky_aut.accepted_words(n_max):
+        u, inside = schottky_aut.initial, True
+        for label in word:
+            u = schottky_aut.step(u, label)
+            inside = inside and u in schottky_comp.vertices
+        if word and inside:
+            terms[len(word)].append(math.exp(-s * fuchsian.dist_word(word)))
+    got = res.restricted_direct[schottky_comp.index]
+    for n in range(1, n_max + 1):
+        want = math.fsum(terms[n])
+        assert abs(got[n] - want) <= 1e-12 * want
+
+
+def test_correlate_arrays_stay_element_aligned(schottky, fuchsian):
+    other = metrics.FuchsianOrbit(schottky, complex(0.3, 2.0))
+    mix = metrics.LinearCombination(
+        [(0.6, fuchsian), (0.4, other), (0.2, metrics.WordMetric(schottky))]
+    )
+    rep = counting.correlate(mix, fuchsian, 0.5, 5)
+    words = schottky.ball_words(5)  # shortlex order, sphere by sphere
+    assert len(rep.d_values) == len(words)
+    want_d = np.array([mix.dist_word(w) for w in words])
+    want_star = np.array([fuchsian.dist_word(w) for w in words])
+    assert np.max(np.abs(rep.d_values - want_d)) < 1e-12 * np.max(want_d)
+    assert np.max(np.abs(rep.dstar_values - want_star)) < 1e-12 * np.max(want_star)
+
+
+def test_enumeration_runs_without_the_word_problem(log3, monkeypatch):
+    free2 = groups.FreeGroup(2)
+    free2_aut = automaton.build_shortlex_acceptor(free2, 1)
+    schottky = groups.standard_schottky()
+    # the acceptor built inside each call reads only these cached normal forms
+    automaton.build_shortlex_acceptor(schottky, 1)
+    d = metrics.FuchsianOrbit(schottky)
+    d_star = metrics.FuchsianOrbit(schottky, complex(0.3, 2.0))
+    wm = metrics.WordMetric(free2)
+
+    def forbidden(*args):
+        raise AssertionError("per-element word problem on an enumeration path")
+
+    monkeypatch.setattr(metrics.MetricModel, "dist_word", forbidden)
+    monkeypatch.setattr(groups.GroupPresentation, "normal_form", forbidden)
+    res = counting.poincare_compare(free2_aut, wm, log3 + 0.1, 8)
+    assert res.max_rel_mismatch < 1e-12
+    assert len(counting.count_ball(d, 8).distances) == 1 + 2 * (3 ** 8 - 1)
+    assert len(counting.correlate(d, d_star, 0.5, 8).d_values) == 1 + 2 * (3 ** 8 - 1)
+
+
+def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, monkeypatch):
+    started = []
+    levels = automaton.GeodesicAutomaton._levels
+    monkeypatch.setattr(
+        automaton.GeodesicAutomaton,
+        "_levels",
+        lambda self, *args: started.append(args) or levels(self, *args),
+    )
+    ball = 1 + 2 * (3 ** 11 - 1)  # |B(11)| in F2
+    with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
+        counting.poincare_compare(
+            free2_aut, metrics.WordMetric(free2), 1.5, 11, comps=[free2_comp], cap=1000
+        )
+    with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
+        counting.count_ball(fuchsian, 11, cap=1000)
+    assert started == []

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import scipy.sparse.linalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +159,33 @@ def test_strong_hyperbolicity_flags_word_metric(free2):
     wm = metrics.WordMetric(free2)
     report = metrics.check_strong_hyperbolicity(wm, sample_count=200)
     assert report.max_violation <= 1e-9
+
+
+def test_green_numeric_is_one_solve(genus2, monkeypatch):
+    solves = []
+    spsolve = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(
+        scipy.sparse.linalg,
+        "spsolve",
+        lambda *args, **kw: solves.append(1) or spsolve(*args, **kw),
+    )
+    green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=3)
+    dists = [green.dist_word(w) for w in genus2.ball_words(2)]
+    assert len(dists) == 65 and len(solves) == 1
+
+
+@pytest.mark.parametrize("case", ["genus2", "free2_nonuniform"])
+def test_green_numeric_lookup_matches_green_function(case, genus2, free2):
+    if case == "genus2":
+        group, walk, radius, margin, ball = genus2, None, 5, 3, 2
+    else:
+        group, radius, margin, ball = free2, 6, 2, 4
+        walk = metrics.WalkSpec({1: 0.35, -1: 0.35, 2: 0.15, -2: 0.15})
+    green = metrics.GreenNumeric(group, walk, absorbing_radius=radius, safety_margin=margin)
+    g_oo = metrics.green_function(group, green.walk, group.identity(), radius)
+    for w in group.ball_words(ball):
+        g = metrics.green_function(group, green.walk, group.element(w), radius)
+        assert abs(green.dist_word(w) + math.log(g / g_oo)) <= 1e-12
+    far = group.sphere_words(ball + 1)[0]
+    with pytest.raises(metrics.MetricError, match="absorbing boundary"):
+        green.dist_word(far)

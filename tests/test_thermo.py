@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -437,3 +438,49 @@ def test_badly_scaled_dense_operator_passes_the_residual_check(tmp_path):
         "thermo": {"depth": 1},
     }))
     assert cli.main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_roots_reuse_the_bracket_end_values(monkeypatch):
+    """Brent's method takes f at both bracket ends from the sign check: each
+    root makes exactly the evaluations of a bare brentq run, two fewer than
+    the sign check plus brentq."""
+    group = groups.standard_schottky((3.0, 30.0))  # the criterion-13 pair
+    aut = automaton.build_shortlex_acceptor(group, 1)
+    comp = shift.word_maximal_components(aut)[0]
+    fo = metrics.FuchsianOrbit(group)
+    pot_f = thermo.cylinder_potential(fo, 6)
+    tol = dict(xtol=1e-14, rtol=8.9e-16, full_output=True)
+
+    pressure_terms = thermo.pressure_terms
+    op = thermo.TransferOperator(aut, comp.vertices, [pot_f])
+    v_ref, r = scipy.optimize.brentq(
+        lambda s: pressure_terms(op, [-s]), 0.05, 2.0, **tol
+    )
+    calls = []
+    monkeypatch.setattr(
+        thermo, "pressure_terms", lambda *a: calls.append(1) or pressure_terms(*a)
+    )
+    v_f = thermo.growth_rate(aut, comp, pot_f, bracket=(0.05, 2.0))
+    monkeypatch.undo()
+    assert v_f == v_ref and len(calls) == r.function_calls
+
+    v_w = thermo.growth_rate(
+        aut, comp, thermo.cylinder_potential(metrics.WordMetric(group), 1)
+    )
+    pw = thermo.cylinder_potential(metrics.ScaledWordMetric(group, v_w), 1)
+    pf = thermo.cylinder_potential(metrics.LinearCombination([(v_f, fo)]), 6)
+    pair = thermo.TransferOperator(aut, comp.vertices, [pw, pf])
+    perron = thermo.perron
+
+    def slope_plus_one(t):
+        theta = thermo.manhattan_pair(aut, comp, pw, pf, t, op=pair)
+        int_d, int_dstar = perron(pair, [-theta, -t]).integrals()
+        return 1.0 - int_dstar / int_d
+
+    xi_ref, r = scipy.optimize.brentq(slope_plus_one, 0.05, 0.95, **tol)
+    calls = []
+    monkeypatch.setattr(
+        thermo, "perron", lambda *a: calls.append(1) or perron(*a)
+    )
+    ce = thermo.correlation_exponent(aut, comp, pw, pf)
+    assert ce.xi == xi_ref and len(calls) == r.function_calls
