@@ -123,7 +123,7 @@ class GeodesicAutomaton:
             raise ResourceCapError(
                 f"walk to length {n_max} would visit {total} words, cap {cap}"
             )
-        return self._levels(n_max, vertices)
+        return self._levels([self.initial], n_max, vertices)
 
     def _letter_edges(self, vertices: Optional[frozenset]) -> list[list]:
         """Per state, its non-identity edges (label, target) in alphabet
@@ -138,15 +138,20 @@ class GeodesicAutomaton:
             for row in self.transitions
         ]
 
-    def _levels(self, n_max: int, vertices: Optional[frozenset]) -> Iterator[Level]:
+    def _levels(
+        self, starts: Sequence[int], n_max: int, vertices: Optional[frozenset]
+    ) -> Iterator[Level]:
+        """The paths of 0..n_max edges from each state of ``starts`` in turn,
+        edges restricted like ``accepted_counts``; level 0 holds the starts."""
         rows = self._letter_edges(vertices)
         degree = np.array([len(r) for r in rows], dtype=np.int64)
         first = np.cumsum(degree) - degree  # edges of state u start here
         edge_label = np.array([e[0] for r in rows for e in r], dtype=np.int64)
         edge_target = np.array([e[1] for r in rows for e in r], dtype=np.int64)
 
-        state = np.array([self.initial], dtype=np.int64)
-        yield Level(0, state, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        state = np.array(starts, dtype=np.int64)
+        zero = np.zeros(len(state), dtype=np.int64)
+        yield Level(0, state, zero, zero)
         for n in range(1, n_max + 1):
             fan = degree[state]
             parent = np.repeat(np.arange(len(state), dtype=np.int64), fan)

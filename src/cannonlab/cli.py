@@ -215,16 +215,20 @@ def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
     """Build (or load from the on-disk cache) the shortlex acceptor for the
     configured group and the record of its build; the cache key hashes the
     group and automaton specs.  An entry keeps the record under "build", so
-    a warm run reports the cold run's build; one without it is rebuilt."""
+    a warm run reports the cold run's build.  An entry without it, or one
+    that fails to parse or load, is a cache miss: rebuilt and overwritten."""
     group = build_group(cfg["group"])
     key = config_hash({"group": cfg["group"], "automaton": cfg["automaton"]})
     cache_path = os.path.join(out_dir, "cache", f"automaton-{key}.json")
     if os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            text = fh.read()
-        build = json.loads(text).get("build")
-        if build is not None:
-            return GeodesicAutomaton.from_json(text, group), build
+        try:
+            with open(cache_path) as fh:
+                text = fh.read()
+            build = json.loads(text).get("build")
+            if build is not None:
+                return GeodesicAutomaton.from_json(text, group), build
+        except (AttributeError, AutomatonError, LookupError, TypeError, ValueError):
+            pass
     r_cone = cfg["automaton"].get("r_cone")
     if r_cone is not None:
         aut = build_shortlex_acceptor(group, int(r_cone))

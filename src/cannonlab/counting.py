@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.stats
 
-from .automaton import GeodesicAutomaton, Level, augment, build_shortlex_acceptor
+from .automaton import GeodesicAutomaton, Level, build_shortlex_acceptor
 from .groups import FreeGroup, ResourceCapError, Word
 from .metrics import FuchsianOrbit, LinearCombination, MetricModel
 from .shift import Component, word_maximal_components
@@ -376,17 +376,17 @@ def poincare_compare(
 ) -> PoincareComparison:
     """Partial sums of eta(s) = Sigma_x e^{-s d(o,x)} two ways.
 
-    The restricted subsum over a word-maximal component equals a power of
-    the weighted transfer matrix applied to the indicator of the absorbing
-    0-state, evaluated at the start state: paths read the word and then
-    drop to 0 exactly once.  The depth-1 increment potential makes the two
-    routes sum identical weights whenever distance increments depend only
-    on the last letter; otherwise the gap is reported, not hidden.
+    The restricted subsum over a word-maximal component equals
+    (A^n 1_{V - init})(init) for the weighted depth-1 transfer matrix A on
+    V, the component plus the start state: it sums the n-edge paths from
+    the start that stay in the component.  The depth-1 increment potential
+    makes the two routes sum identical weights whenever distance increments
+    depend only on the last letter; otherwise the gap is reported, not
+    hidden.
     """
     if comps is None:
         comps = word_maximal_components(aut)
     pot = CylinderPotential(metric, 1)
-    aug = augment(aut)
     full = sphere_distance_arrays(metric, n_max, cap)
     direct_sphere = np.array(
         [float(np.sum(np.exp(-s * a))) for a in full]
@@ -400,24 +400,12 @@ def poincare_compare(
         restricted_d[comp.index] = _restricted_direct_sums(
             aut, metric, comp, s, n_max, cap
         )
-        vertices = comp.vertices | {aug.initial, aug.zero_state}
-        op = TransferOperator(
-            aug,
-            frozenset(vertices),
-            [pot],
-            depth=1,
-            allow_identity=True,
-            exclude_zero_loop=True,
-        )
+        op = TransferOperator(aut, comp.vertices | {aut.initial}, [pot], depth=1)
         mat = op.matrix([-s])
-        index = {b: i for i, b in enumerate(op.blocks)}
-        start = index[(aug.initial, ())]
-        chi = np.zeros(len(op.blocks))
-        chi[index[(aug.zero_state, ())]] = 1.0
+        start = op.blocks.index((aut.initial, ()))
+        vec = np.ones(op.structure.n)
+        vec[start] = 0.0
         ops = np.zeros(n_max + 1)
-        vec = chi
-        # (A^{n+1} chi_0)(initial): n word edges plus the single 0-drop
-        vec = mat @ vec
         for n in range(1, n_max + 1):
             vec = mat @ vec
             ops[n] = vec[start]

@@ -77,8 +77,7 @@ class CylinderPotential:
         return sum(self.value(ext[i : i + self.depth]) for i in range(n))
 
     def at_depth(self, depth: int) -> "CylinderPotential":
-        p = CylinderPotential(self.metric, depth, self.tag)
-        return p
+        return CylinderPotential(self.metric, depth, self.tag)
 
 
 def cylinder_potential(
@@ -105,41 +104,44 @@ def truncation_error(
 
 # -- transfer operators ------------------------------------------------------
 
-def _blocks(
-    aut: GeodesicAutomaton,
-    vertices: frozenset,
-    n_edges: int,
-    allow_identity: bool = False,
-):
-    """Paths with the given number of edges inside the vertex set, as
-    (start_vertex, label word), in deterministic sorted order."""
-    out = []
-    for v in sorted(vertices):
-        stack = [(v, ())]
-        while stack:
-            u, labels = stack.pop()
-            if len(labels) == n_edges:
-                out.append((v, labels))
-                continue
-            for label, w in sorted(aut.transitions[u], reverse=True):
-                if label == IDENTITY_LABEL and not allow_identity:
-                    continue
-                if w in vertices:
-                    stack.append((w, labels + (label,)))
-    return out
+def _paths(aut: GeodesicAutomaton, vertices: frozenset, n_max: int):
+    """The paths of 0..n_max edges inside a vertex set, one level at a time,
+    walked from every vertex in sorted order, so each level is ordered by
+    start vertex, then shortlex.  Per level: the Level arrays, the start
+    vertex and label word of each path, ``tail``, the index in the previous
+    level of each path minus its first edge, and ``indptr``, where the
+    children of each previous path begin (CSR row pointers)."""
+    starts = np.array(sorted(vertices), dtype=np.int64)
+    start, words, tail, indptr = starts, [()] * len(starts), None, None
+    for level in aut._levels(starts, n_max, vertices):
+        if level.length:
+            prev_indptr, prev_tail = indptr, tail
+            indptr = np.searchsorted(level.parent, np.arange(len(words) + 1))
+            rank = np.arange(len(level.parent)) - indptr[level.parent]
+            # a path and its tail end in the same state, so they have the
+            # same children in the same order
+            tail = (
+                np.searchsorted(starts, level.state) if level.length == 1
+                else prev_indptr[prev_tail[level.parent]] + rank
+            )
+            start = start[level.parent]
+            words = [
+                words[p] + (a,)
+                for p, a in zip(level.parent.tolist(), level.label.tolist())
+            ]
+        yield level, start, words, tail, indptr
 
 
 @dataclass
 class TransferMatrix:
-    """Block structure of a transfer operator: the (depth-1)-edge blocks in
-    sorted order and a CSR matrix with one stored entry of 1 per depth-edge
-    window, in the order of ``windows``.  Parallel windows between two
-    blocks (possible at depth 1) are separate entries, which sparse
-    products and toarray() add up."""
+    """Block structure of a transfer operator: the (depth-1)-edge blocks,
+    ordered by start vertex, then shortlex, and a CSR matrix with one stored
+    entry of 1 per depth-edge window, in the order of ``windows``.  Parallel
+    windows between two blocks (possible at depth 1) are separate entries,
+    which sparse products and toarray() add up."""
 
     blocks: list  # (start_vertex, labels) per index
     matrix: scipy.sparse.csr_matrix
-    depth: int
     windows: list  # label word of each window
 
     @property
@@ -148,41 +150,18 @@ class TransferMatrix:
 
 
 def transfer_matrix(
-    aut: GeodesicAutomaton,
-    vertices: frozenset,
-    depth: int,
-    allow_identity: bool = False,
-    exclude_zero_loop: bool = False,
+    aut: GeodesicAutomaton, vertices: frozenset, depth: int
 ) -> TransferMatrix:
-    """The block structure on a vertex set: a depth-edge window is a
-    transition from the block of its first depth-1 edges to the block of
-    its last depth-1 edges."""
-    blocks = _blocks(aut, vertices, depth - 1, allow_identity=allow_identity)
-    index = {b: i for i, b in enumerate(blocks)}
-    cols, windows, indptr = [], [], [0]
-    for v0, labels in blocks:
-        u = v0
-        for s in labels:
-            u = aut.step(u, s)
-        v1 = aut.step(v0, labels[0]) if labels else v0
-        for label, w in aut.transitions[u]:
-            if label == IDENTITY_LABEL and not allow_identity:
-                continue
-            if w not in vertices:
-                continue
-            if exclude_zero_loop and u == w == aut.zero_state:
-                continue
-            window = labels + (label,)
-            t_idx = index.get((v1, window[1:]) if labels else (w, ()))
-            if t_idx is not None:
-                cols.append(t_idx)
-                windows.append(window)
-        indptr.append(len(cols))
+    """The block structure on a vertex set, from one walk of the paths: a
+    depth-edge window is a transition from the block of its first depth-1
+    edges (its parent) to the block of its last depth-1 edges (its tail)."""
+    for level, start, words, tail, indptr in _paths(aut, vertices, depth):
+        if level.length == depth - 1:
+            blocks = list(zip(start.tolist(), words))
     mat = scipy.sparse.csr_matrix(
-        (np.ones(len(cols)), np.array(cols, dtype=np.int64), indptr),
-        shape=(len(blocks), len(blocks)),
+        (np.ones(len(tail)), tail, indptr), shape=(len(blocks), len(blocks))
     )
-    return TransferMatrix(blocks, mat, depth, windows)
+    return TransferMatrix(blocks, mat, words)
 
 
 class TransferOperator:
@@ -197,13 +176,9 @@ class TransferOperator:
         vertices: frozenset,
         potentials: Sequence[CylinderPotential],
         depth: Optional[int] = None,
-        allow_identity: bool = False,
-        exclude_zero_loop: bool = False,
     ):
         k = depth if depth is not None else max(p.depth for p in potentials)
-        self.structure = transfer_matrix(
-            aut, vertices, k, allow_identity, exclude_zero_loop
-        )
+        self.structure = transfer_matrix(aut, vertices, k)
         self.blocks, self.depth = self.structure.blocks, k
         windows = self.structure.windows
         self.psi = np.array(
@@ -474,37 +449,24 @@ def gibbs_ratio_check(
     length up to depth_test, Phi = c[0] Psi for the one-potential data of
     gibbs_data.  Returns (min, max)."""
     k = gd.op.depth
-    index = {b: i for i, b in enumerate(gd.op.blocks)}
     q = gd.transition()
     lo, hi = math.inf, -math.inf
-    for n in range(k, depth_test + 1):
-        for v0, labels in _blocks(aut, comp.vertices, n):
-            # block path underlying the cylinder
-            path = []
-            u = v0
-            verts = [v0]
-            for s_ in labels:
-                u = aut.step(u, s_)
-                verts.append(u)
-            ok = True
-            for i in range(n - k + 2):
-                b = (verts[i], labels[i : i + k - 1])
-                bi = index.get(b)
-                if bi is None:
-                    ok = False
-                    break
-                path.append(bi)
-            if not ok:
-                continue
-            mass = gd.stationary[path[0]]
-            for a_, b_ in zip(path, path[1:]):
-                mass *= q[a_, b_]
-            # full truncated Birkhoff sum over all n positions: including
-            # the tail windows keeps the constants depth-independent
-            s_n = gd.c[0] * potential.birkhoff(labels)
-            ref = math.exp(-n * gd.pressure + s_n)
-            ratio = mass / ref
-            lo, hi = min(lo, ratio), max(hi, ratio)
+    for level, _, words, tail, _ in _paths(aut, comp.vertices, depth_test):
+        n = level.length
+        if n == k - 1:
+            # the cylinders of k-1 edges are the blocks: their mass is pi
+            last, mass = np.arange(len(words)), gd.stationary
+        elif n >= k:
+            # last: the block of the final k-1 edges; the mass of a cylinder
+            # is its parent's mass times one step of the Markov kernel
+            prev, last = last[level.parent], last[tail]
+            mass = mass[level.parent] * q[prev, last]
+            for m, labels in zip(mass.tolist(), words):
+                # full truncated Birkhoff sum over all n positions: including
+                # the tail windows keeps the constants depth-independent
+                s_n = gd.c[0] * potential.birkhoff(labels)
+                ratio = m / math.exp(-n * gd.pressure + s_n)
+                lo, hi = min(lo, ratio), max(hi, ratio)
     if not math.isfinite(lo):
         raise ThermoError("no cylinders at requested depths")
     return lo, hi
@@ -613,21 +575,6 @@ def spectral_scan(
 
 # -- weak mixing -------------------------------------------------------------
 
-class _RoofPotential:
-    """Birkhoff values of the roof S_N Psi over sigma^N periodic orbits,
-    expressed through the sigma-orbit values."""
-
-    def __init__(self, base: CylinderPotential, N: int):
-        self.base = base
-        self.N = N
-        self.depth = base.depth
-
-    def cycle_sum(self, labels: Word) -> float:
-        l = len(labels)
-        l_prime = l // math.gcd(l, self.N)
-        return self.base.cycle_sum(labels) * (self.N * l_prime / l)
-
-
 @dataclass
 class MixingReport:
     verdict: str  # "weak_mixing" | "not_weak_mixing" | "inconclusive"
@@ -639,13 +586,11 @@ def mixing_check(
     aut: GeodesicAutomaton,
     comp: Component,
     potential: CylinderPotential,
-    N: int = 1,
     l_max: int = 6,
 ) -> MixingReport:
-    """Weak mixing of the suspension with roof S_N Psi: non-arithmetic
-    roof values imply weak mixing, a lattice gives the period."""
-    roof = _RoofPotential(potential, N)
-    rep = arithmeticity(aut, comp, roof, l_max=l_max)
+    """Weak mixing of the suspension with roof Psi: non-arithmetic roof
+    values imply weak mixing, a lattice gives the period."""
+    rep = arithmeticity(aut, comp, potential, l_max=l_max)
     if rep.verdict == "lattice":
         return MixingReport("not_weak_mixing", rep.gap, rep)
     if rep.verdict == "non_arithmetic":

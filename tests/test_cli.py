@@ -102,6 +102,36 @@ def test_automaton_cache_is_reused(tmp_path, free_pair_cfg):
     assert os.path.getmtime(os.path.join(cache_dir, files[0])) == mtime
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],  # truncated JSON
+        lambda text: text.replace("geodesic-automaton/1", "geodesic-automaton/0"),
+        lambda text: json.dumps({"build": {}, "edges": "none"}),
+        lambda text: "[]",
+    ],
+    ids=["truncated", "wrong_schema", "bad_edges", "not_an_object"],
+)
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, free_pair_cfg, damage):
+    clean_code, clean = run(tmp_path / "clean", "growth", "--config", free_pair_cfg)
+    assert clean_code == 0
+    _, out = run(tmp_path, "growth", "--config", free_pair_cfg)
+    cache_dir = os.path.join(out, "cache")
+    (entry,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, entry)
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(damage(good))
+    code, _ = run(tmp_path, "growth", "--config", free_pair_cfg)
+    assert code == 0
+    growth = [open(os.path.join(d, "growth.json")).read() for d in (clean, out)]
+    assert growth[0] == growth[1]
+    assert os.listdir(cache_dir) == [entry]
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 def test_artifacts_carry_config_hash(tmp_path, free_pair_cfg):
     code, out = run(tmp_path, "manhattan", "--config", free_pair_cfg)
     assert code == 0

@@ -9,7 +9,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from cannonlab import automaton, cli, groups, metrics, shift, thermo
+from cannonlab import automaton, cli, counting, groups, metrics, shift, thermo
 
 
 def test_pressure_closed_form_for_word_potential(free2_aut, free2_comp, free2, log3):
@@ -297,35 +297,81 @@ def test_transfer_operator_matches_assembly_from_definition(
     fuchsian,
 ):
     word = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
-    cases = [(schottky_aut, schottky_comp.vertices, [], 1, {})]
+    cases = [(schottky_aut, schottky_comp.vertices, [], 1)]
     for depth in (1, 4, 6):
         pot = thermo.cylinder_potential(fuchsian, depth)
-        cases.append((schottky_aut, schottky_comp.vertices, [pot], depth, {}))
-        cases.append((schottky_aut, schottky_comp.vertices, [word, pot], depth, {}))
+        cases.append((schottky_aut, schottky_comp.vertices, [pot], depth))
+        cases.append((schottky_aut, schottky_comp.vertices, [word, pot], depth))
     parallel = _parallel_edge_automaton(free2)
     green = thermo.cylinder_potential(metrics.GreenClosedForm(free2), 1)
     for depth in (1, 2):
-        cases.append((parallel, frozenset({0, 1}), [green], depth, {}))
-    # the augmented-automaton operator of poincare_compare
-    aug = automaton.augment(free2_aut)
+        cases.append((parallel, frozenset({0, 1}), [green], depth))
+    # the operator of poincare_compare: the component plus the start state
     cases.append((
-        aug,
-        free2_comp.vertices | {aug.initial, aug.zero_state},
+        free2_aut,
+        free2_comp.vertices | {free2_aut.initial},
         [thermo.cylinder_potential(metrics.WordMetric(free2), 1)],
         1,
-        {"allow_identity": True, "exclude_zero_loop": True},
     ))
-    for aut, vertices, pots, depth, flags in cases:
-        op = thermo.TransferOperator(aut, vertices, pots, depth=depth, **flags)
+    for aut, vertices, pots, depth in cases:
+        op = thermo.TransferOperator(aut, vertices, pots, depth=depth)
         coeffs = list(c[: len(pots)])
-        blocks, want = _reference_matrix(aut, vertices, pots, coeffs, depth, **flags)
+        blocks, want = _reference_matrix(aut, vertices, pots, coeffs, depth)
         got = op.matrix(coeffs)
-        assert op.blocks == blocks
+        # the walk orders blocks by start vertex, then shortlex
+        assert sorted(op.blocks) == blocks
+        perm = [blocks.index(b) for b in op.blocks]
         assert got.dtype == (complex if isinstance(c[0], complex) and pots else float)
-        assert np.allclose(got.toarray(), want, rtol=1e-13, atol=0.0)
+        assert np.allclose(
+            got.toarray(), want[np.ix_(perm, perm)], rtol=1e-13, atol=0.0
+        )
     # the parallel-edge automaton puts two windows into one matrix entry
     par = thermo.TransferOperator(parallel, frozenset({0, 1}), [green], depth=1)
     assert len(par.structure.windows) > np.count_nonzero(par.matrix([1.0]).toarray())
+
+
+@pytest.mark.parametrize("s", [math.log(3), math.log(3) + 0.1])
+def test_poincare_operator_route_equals_the_augmented_operator(free2, free2_aut, s):
+    """(A^n 1_{V - init})(init) on the component plus the start state equals
+    (A^{n+1} chi_0)(init) on the automaton with the absorbing 0-state, where
+    a path reads n word edges and then drops to 0 exactly once."""
+    n_max = 8
+    metric = metrics.WordMetric(free2)
+    pot = thermo.cylinder_potential(metric, 1)
+    aug = automaton.augment(free2_aut)
+    pc = counting.poincare_compare(free2_aut, metric, s, n_max)
+    for comp in shift.word_maximal_components(free2_aut):
+        blocks, ref = _reference_matrix(
+            aug, comp.vertices | {aug.initial, aug.zero_state}, [pot], [-s], 1,
+            allow_identity=True, exclude_zero_loop=True,
+        )
+        ref = scipy.sparse.csr_matrix(ref.real)
+        vec = np.zeros(len(blocks))
+        vec[blocks.index((aug.zero_state, ()))] = 1.0
+        start = blocks.index((aug.initial, ()))
+        want = np.zeros(n_max + 1)
+        vec = ref @ vec
+        for n in range(1, n_max + 1):
+            vec = ref @ vec
+            want[n] = vec[start]
+        assert np.array_equal(pc.restricted_operator[comp.index], want)
+
+
+def test_operators_are_built_without_stepping_the_automaton(
+    schottky_aut, schottky_comp, fuchsian, monkeypatch
+):
+    def forbidden(*args):
+        raise AssertionError("GeodesicAutomaton.step called")
+
+    monkeypatch.setattr(automaton.GeodesicAutomaton, "step", forbidden)
+    for depth in (1, 4, 7):
+        pot = thermo.cylinder_potential(fuchsian, depth)
+        op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pot])
+        assert op.psi.shape == (1, op.structure.matrix.nnz)
+    pot = thermo.cylinder_potential(fuchsian, 4)
+    gd = thermo.gibbs_data(schottky_aut, schottky_comp, pot, 0.5)
+    lo, hi = thermo.gibbs_ratio_check(schottky_aut, schottky_comp, gd, pot, depth_test=6)
+    assert 0.0 < lo <= hi
 
 
 @pytest.fixture(scope="module")
