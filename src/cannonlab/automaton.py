@@ -69,9 +69,6 @@ class GeodesicAutomaton:
                 out.append((u, v, label))
         return sorted(out)
 
-    def successors(self, state: int) -> tuple:
-        return self.transitions[state]
-
     def step(self, state: int, label: int) -> Optional[int]:
         for lab, v in self.transitions[state]:
             if lab == label:
@@ -157,10 +154,11 @@ class GeodesicAutomaton:
             parent = np.repeat(np.arange(len(state), dtype=np.int64), fan)
             # child i of a parent whose children start at position p takes
             # the parent's first edge plus i - p
-            shift = np.repeat(first[state] - (np.cumsum(fan) - fan), fan)
-            edge = shift + np.arange(len(parent), dtype=np.int64)
-            state = edge_target[edge]
-            yield Level(n, state, edge_label[edge], parent)
+            edge = np.repeat(first[state] - (np.cumsum(fan) - fan), fan)
+            edge += np.arange(len(parent), dtype=np.int64)
+            state, label = edge_target[edge], edge_label[edge]
+            del fan, edge  # only the level's own arrays live across the yield
+            yield Level(n, state, label, parent)
 
     def accepted_words(self, n_max: int) -> Iterator[tuple[Word, int]]:
         """Yield (word, end_state) for every accepted word of length <= n_max."""
@@ -177,19 +175,6 @@ class GeodesicAutomaton:
     def ev(self, labels: Sequence[int]) -> Element:
         """Evaluate a label path to its group element (0-labels act as identity)."""
         return self.group.element(tuple(s for s in labels if s != IDENTITY_LABEL))
-
-    def path_labels(self, vertices: Sequence[int]) -> Word:
-        """Resolve a vertex sequence to its label word; error if any step is
-        not an edge or carries more than one label."""
-        labels = []
-        for u, v in zip(vertices, vertices[1:]):
-            found = [lab for lab, t in self.transitions[u] if t == v]
-            if not found:
-                raise AutomatonError(f"no edge {u} -> {v}")
-            if len(found) > 1:
-                raise AutomatonError(f"ambiguous edge {u} -> {v}: labels {found}")
-            labels.append(found[0])
-        return tuple(labels)
 
     # -- serialization -----------------------------------------------------
 

@@ -211,24 +211,37 @@ def emit_csv(out_dir: str, name: str, body: str, cfg_hash: str) -> str:
 
 # -- shared pipeline pieces --------------------------------------------------
 
+AUTOMATON_CACHE = "automaton-cache/2"  # in the cache key; bump on a format change
+
+
+def _automaton_digest(doc: dict) -> str:
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
     """Build (or load from the on-disk cache) the shortlex acceptor for the
     configured group and the record of its build; the cache key hashes the
-    group and automaton specs.  An entry keeps the record under "build", so
-    a warm run reports the cold run's build.  An entry without it, or one
-    that fails to parse or load, is a cache miss: rebuilt and overwritten."""
+    cache format and the group and automaton specs.  An entry keeps the
+    record under "build", so a warm run reports the cold run's build, and
+    the sha256 of the automaton JSON under "sha256".  An entry that fails
+    to parse or load, or lacks either field or does not match its sha256,
+    is a cache miss: rebuilt and overwritten, with one line on stderr."""
     group = build_group(cfg["group"])
-    key = config_hash({"group": cfg["group"], "automaton": cfg["automaton"]})
+    spec = {"group": cfg["group"], "automaton": cfg["automaton"]}
+    key = config_hash({"cache": AUTOMATON_CACHE, **spec})
     cache_path = os.path.join(out_dir, "cache", f"automaton-{key}.json")
     if os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:
-                text = fh.read()
-            build = json.loads(text).get("build")
-            if build is not None:
-                return GeodesicAutomaton.from_json(text, group), build
+                doc = json.load(fh)
+            build, digest = doc.pop("build", None), doc.pop("sha256", None)
+            if build is not None and digest == _automaton_digest(doc):
+                return GeodesicAutomaton.from_json(json.dumps(doc), group), build
         except (AttributeError, AutomatonError, LookupError, TypeError, ValueError):
             pass
+        print(f"automaton cache entry {cache_path} failed its check; rebuilding",
+              file=sys.stderr)
     r_cone = cfg["automaton"].get("r_cone")
     if r_cone is not None:
         aut = build_shortlex_acceptor(group, int(r_cone))
@@ -247,6 +260,7 @@ def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
             n_validate=int(cfg["automaton"].get("n_validate", 6)),
         )
     entry = json.loads(aut.to_json())
+    entry["sha256"] = _automaton_digest(entry)
     entry["build"] = info
     _atomic_write(cache_path, json.dumps(entry, indent=1, sort_keys=True))
     return aut, info

@@ -5,23 +5,23 @@ Poincare partial sums with their transfer-operator form, fits the leading
 exponential asymptotic and the power-saving error term, and produces the
 pair-correlation counts for two metrics on the same group.
 
-Everything here is single-threaded and deterministic; the heavy loops are
-vectorized per sphere with numpy.
+Balls are enumerated by walking the coding one length at a time, and the
+distances of each level come from the metric's batched ``level_kernel``.
+Everything here is single-threaded and deterministic.
 """
 from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.stats
 
-from .automaton import GeodesicAutomaton, Level, build_shortlex_acceptor
-from .groups import FreeGroup, ResourceCapError, Word
-from .metrics import FuchsianOrbit, LinearCombination, MetricModel
+from .automaton import GeodesicAutomaton, build_shortlex_acceptor
+from .groups import FreeGroup, ResourceCapError
+from .metrics import MetricModel
 from .shift import Component, word_maximal_components
 from .thermo import CylinderPotential, TransferOperator
 
@@ -33,98 +33,46 @@ class CountingError(Exception):
     pass
 
 
-# -- per-level distance evaluation ------------------------------------------
-
-def _level_distances(metric: MetricModel) -> Callable[[Level], np.ndarray]:
-    """An evaluator of d(o, x) over the levels of a walk, fed every level
-    in order from length 0; it keeps what it needs of the previous level."""
-    step = metric.radial_step
-    if step is not None:
-        return lambda level: np.full(len(level.state), step * level.length)
-    if isinstance(metric, FuchsianOrbit):
-        return _fuchsian_levels(metric)
-    if isinstance(metric, LinearCombination):
-        parts = [(c, _level_distances(m)) for c, m in metric.terms]
-        return lambda level: sum(c * part(level) for c, part in parts)
-    # any other metric: rebuild the words and evaluate them one by one
-    words: list[Word] = [()]
-
-    def generic(level: Level) -> np.ndarray:
-        nonlocal words
-        if level.length:
-            words = [
-                words[p] + (s,)
-                for p, s in zip(level.parent.tolist(), level.label.tolist())
-            ]
-        return np.array([metric.dist_word(w) for w in words])
-
-    return generic
-
-
-def _fuchsian_levels(metric: FuchsianOrbit) -> Callable[[Level], np.ndarray]:
-    """Orbit distances by batched 2x2 products: each word's matrix is its
-    parent's times the generator of its last label."""
-    r = metric.group.rank
-    # generator of label s at index s + r (the identity at the unused 0)
-    gens = np.stack([
-        metric.group.matrix_of((s,)) if s else np.eye(2) for s in range(-r, r + 1)
-    ])
-    frame, frame_inv = metric._frame, metric._frame_inv
-    mats = np.eye(2)[None, :, :]
-    log_scale = np.zeros(1)
-
-    def fuchsian(level: Level) -> np.ndarray:
-        nonlocal mats, log_scale
-        if level.length == 0:
-            return np.zeros(1)
-        mats = mats[level.parent] @ gens[level.label + r]
-        log_scale = log_scale[level.parent]
-        top = np.abs(mats).reshape(len(mats), 4).max(axis=1)
-        big = top > 1e100
-        if big.any():
-            mats[big] /= top[big, None, None]
-            log_scale = log_scale + np.where(big, np.log(np.where(big, top, 1.0)), 0.0)
-        conj = np.einsum("ij,njk,kl->nil", frame_inv, mats, frame)
-        log_cosh = np.log(np.sum(conj * conj, axis=(1, 2)) / 2.0) + 2.0 * log_scale
-        dist = np.where(
-            log_cosh > 30.0,
-            log_cosh + math.log(2.0),
-            np.arccosh(np.maximum(np.exp(np.minimum(log_cosh, 31.0)), 1.0)),
-        )
-        return np.where(log_cosh <= 0.0, 0.0, dist)
-
-    return fuchsian
-
-
 def sphere_distance_arrays(
     metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max.
 
     On a free group the elements are the words of the shortlex acceptor
-    (exact at cone radius 1), walked level by level; on any other group
-    they are the normal forms of ``sphere_words``.  Either way each sphere
-    is in shortlex order, so arrays for metrics on the same group may be
-    combined entrywise.
+    (exact at cone radius 1), walked level by level through the metric's
+    ``level_kernel``; on any other group they are the normal forms of
+    ``sphere_words``.  Either way each sphere is in shortlex order, so
+    arrays for metrics on the same group may be combined entrywise.
     """
-    group = metric.group
+    return _ball_arrays([metric], n_max, cap)[0]
+
+
+def _ball_arrays(
+    metrics: Sequence[MetricModel], n_max: int, cap: int
+) -> list[list[np.ndarray]]:
+    """sphere_distance_arrays for several metrics on one group, from one
+    enumeration of the ball."""
+    group = metrics[0].group
+    out: list[list[np.ndarray]] = [[] for _ in metrics]
     if isinstance(group, FreeGroup):
-        evaluate = _level_distances(metric)
-        levels = build_shortlex_acceptor(group, 1).walk(n_max, cap=cap)
-        return [evaluate(level) for level in levels]
+        kernels = [m.level_kernel() for m in metrics]
+        for level in build_shortlex_acceptor(group, 1).walk(n_max, cap=cap):
+            for arrays, kernel in zip(out, kernels):
+                arrays.append(kernel(level))
+        return out
     # no coding at hand: enumerate normal forms and evaluate one by one
-    step = metric.radial_step
-    out = []
     total = 0
     for n in range(n_max + 1):
         words = group.sphere_words(n, cap=cap)
         total += len(words)
         if total > cap:
             raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
-        if step is not None:
-            out.append(np.full(len(words), step * n))
-        else:
-            out.append(np.array([metric.dist_word(w) for w in words]))
+        for arrays, m in zip(out, metrics):
+            step = m.radial_step
+            arrays.append(
+                np.full(len(words), step * n) if step is not None
+                else np.array([m.dist_word(w) for w in words])
+            )
     return out
 
 
@@ -342,10 +290,6 @@ class PoincareComparison:
     diverging: bool
     abscissa_estimate: Optional[float]
 
-    @property
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.direct_sphere_sums)
-
 
 def _restricted_direct_sums(
     aut: GeodesicAutomaton,
@@ -358,7 +302,7 @@ def _restricted_direct_sums(
     """Sigma e^{-s d(o,x)} over length-n elements whose accepted path runs
     inside the component, one level of the walk at a time."""
     sums = np.zeros(n_max + 1)
-    evaluate = _level_distances(metric)
+    evaluate = metric.level_kernel()
     for level in aut.walk(n_max, comp.vertices, cap):
         d = evaluate(level)
         if level.length:
@@ -507,8 +451,7 @@ def correlate(
         raise CountingError("eps must be positive")
     if metric_d.group is not metric_dstar.group:
         raise CountingError("metrics live on different groups")
-    arrays_d = sphere_distance_arrays(metric_d, n_max, cap)
-    arrays_star = sphere_distance_arrays(metric_dstar, n_max, cap)
+    arrays_d, arrays_star = _ball_arrays([metric_d, metric_dstar], n_max, cap)
     d_vals = np.concatenate(arrays_d)
     star_vals = np.concatenate(arrays_star)
     t_cov = float(arrays_d[n_max].min()) if n_max >= 1 else 0.0

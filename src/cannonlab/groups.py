@@ -420,19 +420,6 @@ class SmallCancellationGroup(GroupPresentation):
                 continue
             return min(seen, key=self.shortlex_key)
 
-    def geodesic_representatives(self, word: Word) -> frozenset:
-        """All geodesic words of the element (closure of the normal form)."""
-        w = self.normal_form(word)
-        seen = {w}
-        queue = [w]
-        while queue:
-            cur = queue.pop()
-            for v in self._half_variants(cur):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
-
     # -- conjugacy ---------------------------------------------------------
 
     def _cyclic_dehn_reduce(self, word: Word) -> Word:
@@ -513,7 +500,6 @@ class SchottkyGroup(FreeGroup):
                 raise PresentationError("generator is not loxodromic (|tr| <= 2)")
         self.matrices = mats
         self._check_schottky()
-        self._matrix_cache: dict[Word, np.ndarray] = {(): np.eye(2)}
 
     def _isometric_circles(self):
         circles = []
@@ -538,16 +524,10 @@ class SchottkyGroup(FreeGroup):
                     )
 
     def matrix_of(self, word: Word) -> np.ndarray:
-        cached = self._matrix_cache.get(word)
-        if cached is not None:
-            return cached
-        s = word[0]
-        gen = self.matrices[abs(s) - 1]
-        if s < 0:
-            gen = np.linalg.inv(gen)
-        mat = gen @ self.matrix_of(word[1:])
-        if len(word) <= 24:
-            self._matrix_cache[word] = mat
+        mat = np.eye(2)
+        for s in reversed(word):
+            gen = self.matrices[abs(s) - 1]
+            mat = (np.linalg.inv(gen) if s < 0 else gen) @ mat
         return mat
 
 

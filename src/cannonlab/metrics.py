@@ -6,17 +6,22 @@ Kinds: word metric, scaled word metric, Green metric of a symmetric random
 walk (closed form on free groups for the uniform walk, numeric absorbing
 solve otherwise), hyperbolic-plane orbit metric of a Schottky matrix model,
 and linear combinations of the above.
+
+Each metric also evaluates whole levels of a walk over the coding at once
+(``level_kernel``), for enumeration and transfer-operator assembly alike;
+``dist_word`` is its one-word case, to the bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .automaton import Level
 from .groups import (
     ConjClass,
     Element,
@@ -24,7 +29,6 @@ from .groups import (
     GroupPresentation,
     SchottkyGroup,
     Word,
-    free_reduce,
     invert_word,
 )
 
@@ -61,7 +65,8 @@ class WalkSpec:
 
 
 class MetricModel:
-    """Base evaluator; caches d(o, g) keyed by normal form."""
+    """Base evaluator of d(o, g), one word at a time (``dist_word``) or one
+    level of a walk at a time (``level_kernel``)."""
 
     kind = "abstract"
     # distance per generator for a metric that is |g|_S times a constant,
@@ -70,18 +75,15 @@ class MetricModel:
 
     def __init__(self, group: GroupPresentation):
         self.group = group
-        self._cache: dict[Word, float] = {(): 0.0}
 
     def _eval(self, word: Word) -> float:
-        raise NotImplementedError
+        if self.radial_step is None:
+            raise NotImplementedError
+        return self.radial_step * len(word)
 
     def dist_word(self, word: Word) -> float:
         word = self.group.normal_form(word)
-        v = self._cache.get(word)
-        if v is None:
-            v = self._eval(word)
-            self._cache[word] = v
-        return v
+        return self._eval(word) if word else 0.0
 
     def dist(self, g: Element) -> float:
         return self.dist_word(g.word)
@@ -89,13 +91,31 @@ class MetricModel:
     def dist_between(self, x: Element, y: Element) -> float:
         return self.dist_word(invert_word(x.word) + y.word)
 
+    def level_kernel(self) -> Callable[[Level], np.ndarray]:
+        """The batched d(o, .): a function fed every level of a walk
+        (``GeodesicAutomaton.walk`` or ``_levels``) in order from level 0,
+        returning the distances of that level's words, which must be normal
+        forms.  Radial metrics read step * length; any other metric here
+        rebuilds the words and evaluates them one by one."""
+        step = self.radial_step
+        if step is not None:
+            return lambda level: np.full(len(level.state), step * level.length)
+        words: list[Word] = []
+
+        def generic(level: Level) -> np.ndarray:
+            nonlocal words
+            words = [
+                words[p] + (s,)
+                for p, s in zip(level.parent.tolist(), level.label.tolist())
+            ] if level.length else [()] * len(level.state)
+            return np.array([self.dist_word(w) for w in words])
+
+        return generic
+
 
 class WordMetric(MetricModel):
     kind = "word"
     radial_step = 1.0
-
-    def _eval(self, word: Word) -> float:
-        return float(len(word))
 
 
 class ScaledWordMetric(MetricModel):
@@ -106,9 +126,6 @@ class ScaledWordMetric(MetricModel):
             raise MetricError("scale factor must be positive")
         super().__init__(group)
         self.factor = self.radial_step = float(factor)
-
-    def _eval(self, word: Word) -> float:
-        return self.factor * len(word)
 
 
 class GreenClosedForm(MetricModel):
@@ -125,9 +142,6 @@ class GreenClosedForm(MetricModel):
             raise MetricError("closed-form Green metric needs a free group")
         super().__init__(group)
         self.log_base = self.radial_step = math.log(2 * group.rank - 1)
-
-    def _eval(self, word: Word) -> float:
-        return self.log_base * len(word)
 
 
 def _radial_green(rank: int, absorbing_radius: int) -> np.ndarray:
@@ -241,26 +255,32 @@ def _base_point_frame(z: complex) -> np.ndarray:
     return np.array([[y, z.real / y], [0.0, 1.0 / y]])
 
 
-def _scaled_matrix(group: SchottkyGroup, word: Word) -> tuple[np.ndarray, float]:
-    """Matrix of the word with entries renormalized, plus log of the factor
-    taken out.  Needed for traces of high powers."""
-    mat = np.eye(2)
-    log_scale = 0.0
-    for s in reversed(word):
-        gen = group.matrices[abs(s) - 1]
-        if s < 0:
-            gen = np.linalg.inv(gen)
-        mat = gen @ mat
-        top = np.max(np.abs(mat))
-        if top > 1e100:
-            mat /= top
-            log_scale += math.log(top)
-    return mat, log_scale
+_CHUNK = 1 << 14  # elements per step of a level kernel
+
+
+def _orbit_step(m: tuple, gens: tuple, label, log_scale) -> tuple:
+    """One letter of the running product M <- M g_label on the entries
+    m = (a, b, c, d) of M, numpy arrays or scalars, with the same bits
+    either way; ``gens[e][label]`` is entry e of the generator.  Where the
+    largest entry passes 1e100, the entries are divided by it and its log
+    is added to ``log_scale``."""
+    (a, b, c, d), (ga, gb, gc, gd) = m, [g[label] for g in gens]
+    m = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+    size = [abs(x) for x in m]
+    big = (size[0] > 1e100) | (size[1] > 1e100) | (size[2] > 1e100) | (size[3] > 1e100)
+    if np.count_nonzero(big):
+        top = np.maximum(np.maximum(size[0], size[1]), np.maximum(size[2], size[3]))
+        top = np.where(big, top, 1.0)
+        m = tuple(x / top for x in m)
+        log_scale = log_scale + np.log(top)
+    return m, log_scale
 
 
 class FuchsianOrbit(MetricModel):
     """d(o, g) = hyperbolic distance from the base point to its image under
-    the matrix representation, in the upper half-plane."""
+    the matrix representation, in the upper half-plane.  The same product
+    (``_orbit_step``) and distance expressions run on the arrays of a level
+    (``level_kernel``) and on the scalars of one word (``_eval``)."""
 
     kind = "fuchsian_orbit"
 
@@ -273,22 +293,61 @@ class FuchsianOrbit(MetricModel):
         self.base_point = complex(base_point)
         self._frame = _base_point_frame(self.base_point)
         self._frame_inv = np.linalg.inv(self._frame)
+        # entry i of C^-1 M C is sum_j form[i, j] m_j over the row-major
+        # entries m of M; only the nonzero coefficients are kept
+        form = np.kron(self._frame_inv, self._frame.T)
+        self._form = [[(j, c) for j, c in enumerate(row.tolist()) if c] for row in form]
+        # entry e of the generator of label s at _gens[e][s + rank]
+        r = group.rank
+        gens = [group.matrix_of((s,)) if s else np.eye(2) for s in range(-r, r + 1)]
+        self._gens = tuple(np.reshape(gens, (-1, 4)).T.copy())
+        self._gen_lists = [g.tolist() for g in self._gens]
 
-    def _eval(self, word: Word) -> float:
-        if len(word) <= 24:
-            mat, log_scale = self.group.matrix_of(word), 0.0
-        else:
-            mat, log_scale = _scaled_matrix(self.group, word)
+    def _distance(self, m: tuple, log_scale):
+        """d from the entries of the (rescaled) matrix, elementwise."""
+        q = 0.0
+        for terms in self._form:
+            u = sum(m[j] if coef == 1.0 else coef * m[j] for j, coef in terms)
+            q += u * u
         # cosh d(z0, M z0) = ||C^-1 M C||_F^2 / 2 for det-1 M, C: i -> z0;
         # avoids the catastrophic cancellation of the Mobius-image formula
-        n = self._frame_inv @ mat @ self._frame
-        log_cosh = math.log(float(np.sum(n * n)) / 2.0) + 2.0 * log_scale
-        if log_cosh <= 0.0:
-            return 0.0
-        if log_cosh > 30.0:
-            # acosh(x) = log(2x) - O(x^-2)
-            return log_cosh + math.log(2.0)
-        return math.acosh(math.exp(log_cosh))
+        log_cosh = np.log(q / 2.0) + 2.0 * log_scale
+        dist = np.arccosh(np.exp(np.minimum(np.maximum(log_cosh, 0.0), 31.0)))
+        # acosh(x) = log(2x) - O(x^-2) above log_cosh = 30
+        return np.where(log_cosh > 30.0, log_cosh + math.log(2.0), dist)
+
+    def _product(self, word: Word) -> tuple:
+        """The word's rescaled matrix entries and log_scale, on scalars."""
+        m, log_scale, r = (1.0, 0.0, 0.0, 1.0), 0.0, self.group.rank
+        for s in word:
+            m, log_scale = _orbit_step(m, self._gen_lists, s + r, log_scale)
+        return m, log_scale
+
+    def _eval(self, word: Word) -> float:
+        return float(self._distance(*self._product(word)))
+
+    def level_kernel(self) -> Callable[[Level], np.ndarray]:
+        r = self.group.rank
+        state = np.zeros((5, 0))  # rows: entries a, b, c, d of M, log_scale
+
+        def fuchsian(level: Level) -> np.ndarray:
+            nonlocal state
+            n = len(level.state)
+            if level.length == 0:
+                state = np.repeat([[1.0], [0.0], [0.0], [1.0], [0.0]], n, axis=1)
+                return np.zeros(n)
+            new, dist = np.empty((5, n)), np.empty(n)
+            # in chunks, so that the temporaries stay small and in cache
+            for lo in range(0, n, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                *m, ls = state[:, level.parent[part]]
+                m, ls = _orbit_step(m, self._gens, level.label[part] + r, ls)
+                new[:4, part], new[4, part] = m, ls
+                dist[part] = self._distance(m, ls)
+            state = new
+            return dist
+
+        return fuchsian
 
 
 class LinearCombination(MetricModel):
@@ -312,6 +371,10 @@ class LinearCombination(MetricModel):
 
     def _eval(self, word: Word) -> float:
         return sum(c * m.dist_word(word) for c, m in self.terms)
+
+    def level_kernel(self) -> Callable[[Level], np.ndarray]:
+        parts = [(c, m.level_kernel()) for c, m in self.terms]
+        return lambda level: sum(c * part(level) for c, part in parts)
 
 
 # -- derived quantities -----------------------------------------------------
@@ -374,9 +437,8 @@ def translation_length(
             metric.radial_step * len(w), 0.0, "cyclic_length"
         )
     if isinstance(metric, FuchsianOrbit):
-        w = FreeGroup.cyclic_reduce(g.word)
-        mat, log_scale = _scaled_matrix(group, w)
-        half_tr = abs(np.trace(mat)) * math.exp(log_scale) / 2.0
+        (a, _, _, d), log_scale = metric._product(FreeGroup.cyclic_reduce(g.word))
+        half_tr = abs(a + d) * math.exp(log_scale) / 2.0
         if half_tr <= 1.0:
             return TranslationLength(0.0, 0.0, "trace")
         return TranslationLength(2.0 * math.acosh(half_tr), 0.0, "trace")

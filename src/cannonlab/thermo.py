@@ -143,6 +143,7 @@ class TransferMatrix:
     blocks: list  # (start_vertex, labels) per index
     matrix: scipy.sparse.csr_matrix
     windows: list  # label word of each window
+    walk: list  # (Level, tail) of the paths of 0..depth edges, from _paths
 
     @property
     def n(self) -> int:
@@ -155,20 +156,25 @@ def transfer_matrix(
     """The block structure on a vertex set, from one walk of the paths: a
     depth-edge window is a transition from the block of its first depth-1
     edges (its parent) to the block of its last depth-1 edges (its tail)."""
+    walk = []
     for level, start, words, tail, indptr in _paths(aut, vertices, depth):
+        walk.append((level, tail))
         if level.length == depth - 1:
             blocks = list(zip(start.tolist(), words))
     mat = scipy.sparse.csr_matrix(
         (np.ones(len(tail)), tail, indptr), shape=(len(blocks), len(blocks))
     )
-    return TransferMatrix(blocks, mat, words)
+    return TransferMatrix(blocks, mat, words, walk)
 
 
 class TransferOperator:
     """A transfer operator compiled once per (automaton, vertex set, depth,
     potentials): the block structure plus one float64 array psi_i per
     potential, holding its value on every window (edge).  ``matrix(c)``
-    evaluates exp(sum_i c_i psi_i) on every edge in one vectorized step."""
+    evaluates exp(sum_i c_i psi_i) on every edge in one vectorized step.
+    psi(window) = D_j[prefix] - D_(j-1)[tail[prefix]] for the window's j-edge
+    prefix, j = min(potential depth, operator depth), D_j the metric's level
+    kernel on the j-edge paths: bit for bit ``CylinderPotential.value``."""
 
     def __init__(
         self,
@@ -180,11 +186,15 @@ class TransferOperator:
         k = depth if depth is not None else max(p.depth for p in potentials)
         self.structure = transfer_matrix(aut, vertices, k)
         self.blocks, self.depth = self.structure.blocks, k
-        windows = self.structure.windows
-        self.psi = np.array(
-            [[p.value(w[: p.depth]) for w in windows] for p in potentials],
-            dtype=float,
-        ).reshape(len(potentials), len(windows))
+        walk = self.structure.walk
+        self.psi = np.empty((len(potentials), self.structure.matrix.nnz))
+        for i, p in enumerate(potentials):
+            j, kernel = min(p.depth, k), p.metric.level_kernel()
+            d = [kernel(level) for level, _ in walk[: j + 1]]
+            row = d[j] - d[j - 1][walk[j][1]]
+            for level, _ in walk[j + 1 :]:
+                row = row[level.parent]  # from each prefix to its extensions
+            self.psi[i] = row
 
     def matrix(self, c: Sequence[complex]) -> scipy.sparse.csr_matrix:
         """The operator with edge weights exp(sum_i c_i psi_i); complex

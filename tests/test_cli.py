@@ -132,6 +132,28 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, free_pair_cfg, damage):
         assert fh.read() == good
 
 
+def test_cache_entry_with_a_deleted_edge_is_rebuilt(tmp_path, free_pair_cfg, log3, capsys):
+    _, out = run(tmp_path, "growth", "--config", free_pair_cfg)
+    cache_dir = os.path.join(out, "cache")
+    (entry,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, entry)
+    with open(path) as fh:
+        good = fh.read()
+    doc = json.loads(good)
+    doc["edges"].pop()  # still a loadable automaton, with a smaller growth rate
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "growth", "--config", free_pair_cfg)
+    assert code == 0
+    with open(os.path.join(out, "growth.json")) as fh:
+        rate = json.load(fh)["growth_rates"]["word"]
+    assert abs(rate - log3) < 1e-9
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 def test_artifacts_carry_config_hash(tmp_path, free_pair_cfg):
     code, out = run(tmp_path, "manhattan", "--config", free_pair_cfg)
     assert code == 0

@@ -241,6 +241,39 @@ def test_enumeration_runs_without_the_word_problem(log3, monkeypatch):
     assert len(counting.correlate(d, d_star, 0.5, 8).d_values) == 1 + 2 * (3 ** 8 - 1)
 
 
+def test_fuchsian_distances_need_only_generator_matrices(schottky_aut, schottky_comp, monkeypatch):
+    matrix_of = groups.SchottkyGroup.matrix_of
+
+    def one_letter(self, word):
+        assert len(word) == 1, "matrix of a word longer than one letter"
+        return matrix_of(self, word)
+
+    def forbidden(*args):
+        raise AssertionError("per-word distance on a batched path")
+
+    walks = []
+    levels = automaton.GeodesicAutomaton._levels
+    monkeypatch.setattr(groups.SchottkyGroup, "matrix_of", one_letter)
+    monkeypatch.setattr(metrics.MetricModel, "dist_word", forbidden)
+    monkeypatch.setattr(
+        automaton.GeodesicAutomaton,
+        "_levels",
+        lambda self, *args: walks.append(args) or levels(self, *args),
+    )
+    schottky = schottky_aut.group
+    d = metrics.FuchsianOrbit(schottky)
+    d_star = metrics.FuchsianOrbit(schottky, complex(0.3, 2.0))
+    op = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [thermo.cylinder_potential(d, 7)]
+    )
+    assert op.psi.shape == (1, 4 * 3 ** 7)
+    ball = 1 + 2 * (3 ** 8 - 1)
+    assert len(counting.count_ball(d, 8).distances) == ball
+    walks.clear()
+    assert len(counting.correlate(d, d_star, 0.5, 8).d_values) == ball
+    assert len(walks) == 1
+
+
 def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, monkeypatch):
     started = []
     levels = automaton.GeodesicAutomaton._levels

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cannonlab import groups, metrics
+from cannonlab import automaton, groups, metrics
 
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(tuple)
 
@@ -79,9 +79,9 @@ def test_fuchsian_long_words_stay_finite(fuchsian):
     assert 100.0 < d < 600.0
     # scaled product path agrees with the plain product on medium words
     w2 = w[:20]
-    mat, log_scale = metrics._scaled_matrix(fuchsian.group, w2)
+    m, log_scale = fuchsian._product(w2)
     plain = fuchsian.group.matrix_of(w2)
-    assert np.allclose(mat * math.exp(log_scale), plain)
+    assert np.allclose(np.reshape(m, (2, 2)) * math.exp(log_scale), plain)
 
 
 def test_fuchsian_triangle_inequality_on_samples(schottky, fuchsian):
@@ -189,3 +189,62 @@ def test_green_numeric_lookup_matches_green_function(case, genus2, free2):
     far = group.sphere_words(ball + 1)[0]
     with pytest.raises(metrics.MetricError, match="absorbing boundary"):
         green.dist_word(far)
+
+
+# -- level kernels -------------------------------------------------------------
+
+def _levels_with_words(aut, n_max):
+    """The levels of the acceptor's walk, each with its words rebuilt."""
+    words = []
+    for level in aut.walk(n_max):
+        words = [
+            words[p] + (s,) for p, s in zip(level.parent.tolist(), level.label.tolist())
+        ] if level.length else [()]
+        yield level, words
+
+
+KERNEL_CASES = {
+    # case: fixture getter -> (metric, automaton whose walk feeds it, radius)
+    "word": lambda fx: (metrics.WordMetric(fx("free2")), fx("free2_aut"), 8),
+    "scaled_word": lambda fx: (
+        metrics.ScaledWordMetric(fx("free2"), 0.37), fx("free2_aut"), 8),
+    "green_closed_form": lambda fx: (
+        metrics.GreenClosedForm(fx("free2")), fx("free2_aut"), 8),
+    "fuchsian_at_i": lambda fx: (fx("fuchsian"), fx("schottky_aut"), 8),
+    "fuchsian_off_i": lambda fx: (
+        metrics.FuchsianOrbit(fx("schottky"), complex(0.2, 2.1)), fx("schottky_aut"), 8),
+    "word_plus_fuchsian": lambda fx: (
+        metrics.LinearCombination(
+            [(0.6, metrics.WordMetric(fx("schottky"))), (0.4, fx("fuchsian"))]),
+        fx("schottky_aut"), 8),
+    "green_numeric": lambda fx: (
+        metrics.GreenNumeric(fx("genus2"), absorbing_radius=5, safety_margin=3),
+        fx("genus2_aut"), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_level_kernel_equals_dist_word_bitwise(case, request):
+    metric, aut, n_max = KERNEL_CASES[case](request.getfixturevalue)
+    kernel = metric.level_kernel()
+    for level, words in _levels_with_words(aut, n_max):
+        want = np.array([metric.dist_word(w) for w in words])
+        assert np.array_equal(kernel(level), want), level.length
+
+
+def test_fuchsian_kernel_rescales_like_the_scalar_path(schottky):
+    f = metrics.FuchsianOrbit(schottky)
+    word = (2, 1) * 75
+    kernel = f.level_kernel()
+    one = np.zeros(1, dtype=np.int64)
+    got = [float(kernel(automaton.Level(0, one, one, one))[0])]
+    for n, s in enumerate(word, start=1):
+        got.append(float(kernel(automaton.Level(n, one, np.array([s]), one))[0]))
+    want = [f.dist_word(word[:n]) for n in range(len(word) + 1)]
+    assert np.array_equal(got, want)
+    # the entries passed 1e100, so the product was rescaled on the way
+    assert f._product(word)[1] > 0.0
+    # unscaled, the entries stay far below overflow; at base point i and
+    # this size, d = acosh(||M||_F^2 / 2) = log ||M||_F^2 to rounding
+    plain = schottky.matrix_of(word)
+    assert abs(got[-1] - math.log(float(np.sum(plain * plain)))) <= 1e-12 * got[-1]

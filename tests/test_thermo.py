@@ -73,6 +73,28 @@ def test_truncation_error_is_the_maximum_over_all_windows(
     assert thermo.truncation_error(schottky_aut, schottky_comp, pot) == brute
 
 
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_operator_psi_is_value_on_every_window(k, schottky, schottky_aut, schottky_comp, fuchsian):
+    off_i = metrics.FuchsianOrbit(schottky, complex(0.2, 2.1))
+    for metric in (fuchsian, off_i):
+        pot = thermo.cylinder_potential(metric, k)
+        op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pot])
+        want = [pot.value(w) for w in op.structure.windows]
+        assert np.array_equal(op.psi[0], want)
+
+
+def test_operator_psi_mixes_depths_through_window_prefixes(
+    schottky, schottky_aut, schottky_comp, fuchsian
+):
+    word = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
+    orbit = thermo.cylinder_potential(fuchsian, 4)
+    op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [word, orbit])
+    assert op.depth == 4
+    windows = op.structure.windows
+    assert np.array_equal(op.psi[0], [word.value(w[:1]) for w in windows])
+    assert np.array_equal(op.psi[1], [orbit.value(w) for w in windows])
+
+
 def test_choose_depth_stops_at_one_for_word_metric(free2_aut, free2_comp, free2):
     pot = thermo.choose_depth(free2_aut, free2_comp, metrics.WordMetric(free2))
     assert pot.depth == 1
