@@ -33,7 +33,7 @@ class CylinderPotential:
 
     Values depend only on the label word of a window (identity labels
     evaluate through as nothing), so one lazy table serves every
-    component of the same automaton.
+    component of the same automaton, and operators hand it their psi.
     """
 
     def __init__(
@@ -48,12 +48,17 @@ class CylinderPotential:
         self.depth = depth
         self.tag = tag or metric.kind
         self._table: dict[Word, float] = {}
+        self._recorded: list = []  # (j, windows, psi on their j-edge prefixes)
 
     def value(self, labels: Word) -> float:
         """Psi on the window; windows shorter than the depth are evaluated
         with their own length (exact truncation at path ends)."""
         labels = tuple(s for s in labels if s != IDENTITY_LABEL)
         v = self._table.get(labels)
+        while v is None and self._recorded:  # read in on a miss, not when recorded
+            j, windows, row = self._recorded.pop()
+            self._table.update(zip((w[:j] for w in windows), row.tolist()))
+            v = self._table.get(labels)
         if v is None:
             step = self.metric.radial_step
             # windows of accepted paths are geodesic: a radial metric reads
@@ -195,6 +200,7 @@ class TransferOperator:
             for level, _ in walk[j + 1 :]:
                 row = row[level.parent]  # from each prefix to its extensions
             self.psi[i] = row
+            p._recorded.append((j, self.structure.windows, row))
 
     def matrix(self, c: Sequence[complex]) -> scipy.sparse.csr_matrix:
         """The operator with edge weights exp(sum_i c_i psi_i); complex

@@ -79,7 +79,9 @@ def test_operator_psi_is_value_on_every_window(k, schottky, schottky_aut, schott
     for metric in (fuchsian, off_i):
         pot = thermo.cylinder_potential(metric, k)
         op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pot])
-        want = [pot.value(w) for w in op.structure.windows]
+        # a fresh potential: pot's own table now holds op's psi
+        fresh = thermo.cylinder_potential(metric, k)
+        want = [fresh.value(w) for w in op.structure.windows]
         assert np.array_equal(op.psi[0], want)
 
 
@@ -91,8 +93,29 @@ def test_operator_psi_mixes_depths_through_window_prefixes(
     op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [word, orbit])
     assert op.depth == 4
     windows = op.structure.windows
+    word, orbit = word.at_depth(1), orbit.at_depth(4)  # empty tables
     assert np.array_equal(op.psi[0], [word.value(w[:1]) for w in windows])
     assert np.array_equal(op.psi[1], [orbit.value(w) for w in windows])
+
+
+def test_operator_hands_its_psi_to_the_potential(
+    schottky_aut, schottky_comp, fuchsian, monkeypatch
+):
+    # value() on the operator's windows, and on their prefixes for a
+    # shallower potential, reads the psi the operator computed
+    deep = thermo.cylinder_potential(fuchsian, 4)
+    shallow = thermo.cylinder_potential(fuchsian, 2)
+    op = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [deep, shallow]
+    )
+
+    def refuse(self, word):
+        raise AssertionError("dist_word called")
+
+    monkeypatch.setattr(metrics.MetricModel, "dist_word", refuse)
+    windows = op.structure.windows
+    assert [deep.value(w) for w in windows] == op.psi[0].tolist()
+    assert [shallow.value(w[:2]) for w in windows] == op.psi[1].tolist()
 
 
 def test_choose_depth_stops_at_one_for_word_metric(free2_aut, free2_comp, free2):
