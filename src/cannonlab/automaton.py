@@ -75,14 +75,6 @@ class GeodesicAutomaton:
                 return v
         return None
 
-    def adjacency(self, include_zero: bool = False) -> np.ndarray:
-        a = np.zeros((self.n_states, self.n_states))
-        for u, v, label in self.edges():
-            if label == IDENTITY_LABEL and not include_zero:
-                continue
-            a[u, v] += 1.0
-        return a
-
     # -- language ----------------------------------------------------------
 
     def accepted_counts(

@@ -11,8 +11,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
+
 from .automaton import IDENTITY_LABEL, GeodesicAutomaton
-from .groups import ConjClass, FreeGroup, Word, invert_word
+from .groups import ConjClass, FreeGroup, ResourceCapError, Word, invert_word
 
 
 class ShiftError(Exception):
@@ -41,63 +45,19 @@ class PeriodicOrbit:
         return len(self.vertices)
 
 
-def _component_edges(aut: GeodesicAutomaton, vertices: frozenset) -> list:
-    out = []
-    for u in vertices:
-        for label, v in aut.transitions[u]:
-            if v in vertices:
-                out.append((u, v, label))
-    return sorted(out)
-
-
 def scc_decompose(aut: GeodesicAutomaton) -> list[Component]:
-    """Tarjan strongly connected components, iterative; components are
-    returned in a deterministic order (sorted by least vertex)."""
-    n = aut.n_states
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succs = aut.transitions[v]
-            while pi < len(succs):
-                w = succs[pi][1]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    """Strongly connected components of the transition graph, returned in a
+    deterministic order (sorted by least vertex)."""
+    edges = np.array(
+        [(u, v) for u, row in enumerate(aut.transitions) for _, v in row],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+        shape=(aut.n_states, aut.n_states),
+    )
+    _, label = scipy.sparse.csgraph.connected_components(graph, connection="strong")
+    sccs = [np.flatnonzero(label == c).tolist() for c in np.unique(label)]
     sccs.sort(key=min)
     out = []
     for i, members in enumerate(sccs):
@@ -172,10 +132,7 @@ def _growing_components(aut: GeodesicAutomaton) -> list[Component]:
         c
         for c in scc_decompose(aut)
         if not c.trivial
-        and any(
-            label != IDENTITY_LABEL
-            for _, _, label in _component_edges(aut, c.vertices)
-        )
+        and any(aut._letter_edges(c.vertices)[u] for u in c.vertices)
     ]
 
 
@@ -326,35 +283,6 @@ def _find_label_cycle(
     return None
 
 
-def enumerate_cycles(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    l_max: int,
-    max_cycles: int = 20000,
-) -> list[PeriodicOrbit]:
-    """Closed label-paths of length <= l_max inside the component.  Each
-    cycle is anchored at its least vertex, so rotations are not repeated
-    (cycles revisiting the anchor do appear once per anchored phase)."""
-    out: list[PeriodicOrbit] = []
-    verts = sorted(comp.vertices)
-    for anchor in verts:
-        stack = [(anchor, (), ())]
-        while stack:
-            v, vs, labels = stack.pop()
-            for label, w in sorted(aut.transitions[v]):
-                if label == IDENTITY_LABEL or w not in comp.vertices:
-                    continue
-                if w < anchor:
-                    continue
-                if w == anchor:
-                    out.append(PeriodicOrbit(vs + (v,), labels + (label,)))
-                    if len(out) >= max_cycles:
-                        return out
-                if len(vs) + 1 < l_max:
-                    stack.append((w, vs + (v,), labels + (label,)))
-    return out
-
-
 # -- arithmeticity ------------------------------------------------------------
 
 def _real_gcd(a: float, b: float, tol: float) -> float:
@@ -373,8 +301,71 @@ class ArithmeticityReport:
     verdict: str  # "lattice" | "non_arithmetic" | "inconclusive"
     gap: float  # estimated lattice gap (residual scale when non-arithmetic)
     max_residual: float
-    n_orbits: int
+    n_orbits: int  # the closed paths of 1..l_max edges, each anchored once
     sample_values: list = field(default_factory=list)
+
+
+ORBIT_LEVEL_CAP = 2_000_000  # paths of one length in one anchor's walk
+
+
+def _orbit_sums(
+    aut: GeodesicAutomaton, comp: Component, potential, l_max: int
+) -> np.ndarray:
+    """The Birkhoff sums of the potential around the closed paths of
+    1..l_max edges in the component, each anchored at its least vertex a:
+    the paths of one walk from a through the vertices >= a that end at a.
+    Window i of a closed path of n edges, its edges i..i+k-1 around the
+    cycle, is an entry of the compiled depth-k operator, found by index
+    arithmetic; the windows are summed in order from a, as ``cycle_sum``
+    sums them.  A level longer than ORBIT_LEVEL_CAP raises
+    ResourceCapError before it is allocated."""
+    from .thermo import TransferOperator
+
+    op = TransferOperator(aut, comp.vertices, [potential])
+    k, psi, mat = op.depth, op.psi[0], op.structure.matrix
+    walk = [level for level, _ in op.structure.walk]
+    # the children of path i of level j of the operator's walk start at down[j][i]
+    down = [
+        np.searchsorted(walk[j + 1].parent, np.arange(len(walk[j].state) + 1))
+        for j in range(k - 1)
+    ]
+    # rank[u, label]: the place of the edge among u's edges in the component,
+    # which orders the windows out of a block ending at u (a negative label
+    # indexes the row from its end)
+    rank = np.zeros((aut.n_states, 2 * max(aut.group.alphabet) + 1), dtype=np.int64)
+    for u, row in enumerate(aut._letter_edges(comp.vertices)):
+        rank[u, [label for label, _ in row]] = np.arange(len(row))
+    sums, verts = [np.zeros(0)], sorted(comp.vertices)
+    for pos, a in enumerate(verts):
+        above = frozenset(verts[pos:])
+        fan = np.array([len(row) for row in aut._letter_edges(above)])
+        levels = []
+        for level in aut._levels([a], l_max, above):
+            levels.append(level)
+            n, size = level.length, int(fan[level.state].sum())
+            if n < l_max and size > ORBIT_LEVEL_CAP:
+                raise ResourceCapError(
+                    f"the closed-path walk from state {a} would hold {size} "
+                    f"paths of {n + 1} edges, cap {ORBIT_LEVEL_CAP}"
+                )
+            if n == 0:
+                continue
+            idx = np.flatnonzero(level.state == a)
+            r = np.empty((len(idx), n), dtype=np.int64)  # edge ranks, from the end
+            for m in range(n, 0, -1):
+                parent = levels[m].parent[idx]
+                r[:, m - 1] = rank[levels[m - 1].state[parent], levels[m].label[idx]]
+                idx = parent
+            block = np.full(len(r), pos)  # down to the block of edges 0..k-2
+            for j in range(k - 1):
+                block = down[j][block] + r[:, j % n]
+            total = np.zeros(len(r))
+            for i in range(n):
+                entry = mat.indptr[block] + r[:, (i + k - 1) % n]
+                total += psi[entry]
+                block = mat.indices[entry]
+            sums.append(total)
+    return np.concatenate(sums)
 
 
 def arithmeticity(
@@ -384,18 +375,18 @@ def arithmeticity(
     l_max: int = 6,
     tol: float = 1e-8,
     gap_threshold: float = 1e-4,
-    max_cycles: int = 20000,
 ) -> ArithmeticityReport:
     """Do the Birkhoff sums of the potential over periodic orbits lie in
-    a common lattice a*Z?  The gap estimate is an iterated real gcd of the
-    orbit sums with tolerance; verdicts carry explicit thresholds."""
-    cycles = enumerate_cycles(aut, comp, l_max, max_cycles)
-    values = sorted(
-        {round(potential.cycle_sum(o.labels), 14) for o in cycles}
-    )
+    a common lattice a*Z?  The sums are those of every closed path of
+    1..l_max edges (_orbit_sums), and ``n_orbits`` is their exact number.
+    The gap estimate is an iterated real gcd of the orbit sums with
+    tolerance; verdicts carry explicit thresholds."""
+    sums = _orbit_sums(aut, comp, potential, l_max)
+    n_orbits = len(sums)
+    values = sorted({round(v, 14) for v in sums.tolist()})
     values = [v for v in values if abs(v) > tol]
     if len(values) < 2:
-        return ArithmeticityReport("inconclusive", 0.0, 0.0, len(cycles))
+        return ArithmeticityReport("inconclusive", 0.0, 0.0, n_orbits)
     g = values[0]
     for v in values[1:]:
         g = _real_gcd(g, v, tol)
@@ -408,11 +399,11 @@ def arithmeticity(
         )
         if resid <= max(100 * tol, 1e-12 * max(values)):
             return ArithmeticityReport(
-                "lattice", g, resid, len(cycles), sample
+                "lattice", g, resid, n_orbits, sample
             )
     # no usable gap: the orbit sums generate a dense subgroup at this scale
     return ArithmeticityReport(
-        "non_arithmetic", g, g, len(cycles), sample
+        "non_arithmetic", g, g, n_orbits, sample
     )
 
 

@@ -31,9 +31,11 @@ class ThermoError(Exception):
 class CylinderPotential:
     """Depth-k locally constant approximation of the metric potential.
 
-    Values depend only on the label word of a window (identity labels
-    evaluate through as nothing), so one lazy table serves every
-    component of the same automaton, and operators hand it their psi.
+    Operators evaluate it on all their windows at once (``op.psi``); the
+    one-window ``value`` and one-orbit ``cycle_sum`` are references, bit for
+    bit.  Values depend only on the label word of a window (identity labels
+    evaluate through as nothing), so one lazy table serves every component
+    of the same automaton, and operators hand it their psi.
     """
 
     def __init__(
@@ -67,13 +69,6 @@ class CylinderPotential:
             v = d(labels) - d(labels[1:]) if labels else 0.0
             self._table[labels] = v
         return v
-
-    def birkhoff(self, labels: Word) -> float:
-        """Truncated-window Birkhoff sum along a finite path."""
-        k = self.depth
-        return sum(
-            self.value(labels[i : i + k]) for i in range(len(labels))
-        )
 
     def cycle_sum(self, labels: Word) -> float:
         """Birkhoff sum around a periodic orbit (windows wrap)."""
@@ -463,26 +458,33 @@ def gibbs_ratio_check(
 ) -> tuple[float, float]:
     """Ratio mu[cylinder] / exp(-nP + S_n Phi) over all cylinders of
     length up to depth_test, Phi = c[0] Psi for the one-potential data of
-    gibbs_data.  Returns (min, max)."""
+    gibbs_data.  S_n is the Birkhoff sum over all n positions, the windows
+    at the end truncated (which keeps the constants depth-independent).  It
+    is carried along the levels: psi summed over the full windows, plus
+    D_(k-1) of the final k-1 edges, to which the truncated windows
+    telescope.  Returns (min, max)."""
     k = gd.op.depth
     q = gd.transition()
+    kernel = potential.metric.level_kernel()
     lo, hi = math.inf, -math.inf
-    for level, _, words, tail, _ in _paths(aut, comp.vertices, depth_test):
+    for level, _, _, tail, _ in _paths(aut, comp.vertices, depth_test):
         n = level.length
+        if n < k:
+            d = kernel(level)  # D_n; at n = k-1, of the blocks
         if n == k - 1:
             # the cylinders of k-1 edges are the blocks: their mass is pi
-            last, mass = np.arange(len(words)), gd.stationary
+            last, mass = np.arange(len(level.state)), gd.stationary
         elif n >= k:
             # last: the block of the final k-1 edges; the mass of a cylinder
             # is its parent's mass times one step of the Markov kernel
             prev, last = last[level.parent], last[tail]
             mass = mass[level.parent] * q[prev, last]
-            for m, labels in zip(mass.tolist(), words):
-                # full truncated Birkhoff sum over all n positions: including
-                # the tail windows keeps the constants depth-independent
-                s_n = gd.c[0] * potential.birkhoff(labels)
-                ratio = m / math.exp(-n * gd.pressure + s_n)
-                lo, hi = min(lo, ratio), max(hi, ratio)
+            # win: the operator's window of the final k edges; full: the
+            # sum of psi over the full windows
+            win = np.arange(len(level.state)) if n == k else win[tail]
+            full = gd.op.psi[0][win] + (full[level.parent] if n > k else 0.0)
+            ratio = mass / np.exp(-n * gd.pressure + gd.c[0] * (full + d[last]))
+            lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
     if not math.isfinite(lo):
         raise ThermoError("no cylinders at requested depths")
     return lo, hi

@@ -50,6 +50,24 @@ def test_report_pipeline_on_free_group(tmp_path, free_pair_cfg, log3):
         assert m["arithmeticity"]["verdict"] == "lattice"
 
 
+def test_genus2_analyze_counts_every_closed_path(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "group": {"family": "surface", "genus": 2},
+            "automaton": {"n_validate": 4},
+        },
+    )
+    code, out = run(tmp_path, "analyze", "--config", cfg)
+    assert code == 0
+    with open(os.path.join(out, "analyze.json")) as fh:
+        (entry,) = json.load(fh)["metrics"]
+    # the anchored closed paths of 1..6 edges in the main component
+    assert entry["arithmeticity"]["n_orbits"] == 33251
+    assert entry["arithmeticity"]["verdict"] == "lattice"
+    assert entry["arithmeticity"]["gap"] == 1.0
+
+
 def artifacts(out):
     """Every file under the output directory, by relative path."""
     files = {}

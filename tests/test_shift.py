@@ -63,28 +63,118 @@ def test_torsion_class_has_no_loop(free2_aut, free2_comp, free2):
         shift.loops_realizing_class(free2_aut, free2_comp, c)
 
 
-def test_enumerate_cycles_counts_match_matrix_oracle(free2_aut, free2_comp):
+def _anchored_closed_path_counts(aut, comp, l_max):
+    """Closed paths anchored at their least vertex, per length: the diagonal
+    entries of powers of the adjacency restricted to vertices >= anchor."""
     import numpy as np
 
-    cycles = shift.enumerate_cycles(free2_aut, free2_comp, 4)
-    by_len = {}
-    for o in cycles:
-        by_len[o.length] = by_len.get(o.length, 0) + 1
-    # anchored closed walks based at their least vertex: sum the diagonal
-    # entries of powers of the adjacency restricted to vertices >= anchor
-    verts = sorted(free2_comp.vertices)
+    verts = sorted(comp.vertices)
     pos = {v: i for i, v in enumerate(verts)}
     adj = np.zeros((len(verts), len(verts)))
     for u in verts:
-        for label, w in free2_aut.transitions[u]:
-            if w in free2_comp.vertices:
+        for label, w in aut.transitions[u]:
+            if w in comp.vertices:
                 adj[pos[u], pos[w]] += 1.0
-    for l in range(1, 5):
-        expect = 0
-        for a in range(len(verts)):
-            sub = adj[a:, a:]
-            expect += int(round(np.linalg.matrix_power(sub, l)[0, 0]))
-        assert by_len.get(l, 0) == expect
+    return [
+        sum(
+            int(round(np.linalg.matrix_power(adj[a:, a:], l)[0, 0]))
+            for a in range(len(verts))
+        )
+        for l in range(1, l_max + 1)
+    ]
+
+
+def test_enumerate_cycles_counts_match_matrix_oracle(
+    free2_aut, free2, genus2_aut, genus2
+):
+    for aut, group, l_max in ((free2_aut, free2, 4), (genus2_aut, genus2, 6)):
+        comp = shift.word_maximal_components(aut)[0]
+        pot = thermo.cylinder_potential(metrics.WordMetric(group), 1)
+        totals = [0] + [
+            shift.arithmeticity(aut, comp, pot, l_max=l).n_orbits
+            for l in range(1, l_max + 1)
+        ]
+        by_len = [b - a for a, b in zip(totals, totals[1:])]
+        assert by_len == _anchored_closed_path_counts(aut, comp, l_max)
+    assert by_len == [8, 32, 143, 782, 4560, 27726]
+
+
+def _brute_force_closed_words(aut, comp, l_max):
+    """Label words of the closed paths of 1..l_max edges through vertices
+    >= their anchor, by trying every word on every anchor."""
+    import itertools
+
+    alphabet = aut.group.alphabet
+    out = []
+    for anchor in sorted(comp.vertices):
+        for n in range(1, l_max + 1):
+            for word in itertools.product(alphabet, repeat=n):
+                v = anchor
+                for s in word:
+                    v = aut.step(v, s)
+                    if v is None or v not in comp.vertices or v < anchor:
+                        break
+                else:
+                    if v == anchor:
+                        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, kind, depth",
+    [
+        ("free2", "word", 1),
+        ("free2", "green_closed_form", 1),
+        ("schottky", "fuchsian_orbit", 1),
+        ("schottky", "fuchsian_orbit", 4),
+        ("schottky", "fuchsian_orbit", 6),
+    ],
+)
+def test_orbit_sums_equal_cycle_sums_bitwise(request, case, kind, depth):
+    aut = request.getfixturevalue(f"{case}_aut")
+    group = request.getfixturevalue(case)
+    comp = shift.word_maximal_components(aut)[0]
+    metric = {
+        "word": metrics.WordMetric,
+        "green_closed_form": metrics.GreenClosedForm,
+        "fuchsian_orbit": metrics.FuchsianOrbit,
+    }[kind](group)
+    sums = shift._orbit_sums(
+        aut, comp, thermo.cylinder_potential(metric, depth), 6
+    )
+    # a potential of its own, so that no operator's psi fills its table
+    ref = thermo.cylinder_potential(metric, depth)
+    want = [ref.cycle_sum(w) for w in _brute_force_closed_words(aut, comp, 6)]
+    assert len(want) == len(sums) > 0
+    assert sorted(sums.tolist()) == sorted(want)
+
+
+def test_genus2_orbit_sums_do_not_depend_on_depth(genus2_aut, genus2):
+    comp = shift.word_maximal_components(genus2_aut)[0]
+    reps = [
+        shift.arithmeticity(
+            genus2_aut, comp,
+            thermo.cylinder_potential(metrics.WordMetric(genus2), k),
+        )
+        for k in (1, 4)
+    ]
+    for rep in reps:
+        assert rep.n_orbits == 33251
+        assert rep.verdict == "lattice"
+        assert rep.gap == 1.0
+    assert reps[0].sample_values == reps[1].sample_values
+
+
+def test_orbit_walk_level_cap_fires_before_allocation(
+    genus2_aut, genus2, monkeypatch
+):
+    comp = shift.word_maximal_components(genus2_aut)[0]
+    pot = thermo.cylinder_potential(metrics.WordMetric(genus2), 1)
+    monkeypatch.setattr(shift, "ORBIT_LEVEL_CAP", 100_000)
+    with pytest.raises(groups.ResourceCapError, match="cap 100000"):
+        shift.arithmeticity(genus2_aut, comp, pot, l_max=6)
+    # five edges stay under the cap
+    assert shift.arithmeticity(genus2_aut, comp, pot, l_max=5).n_orbits == 5525
 
 
 def test_word_potential_is_lattice(free2_aut, free2_comp, free2):
