@@ -4,9 +4,12 @@ Subcommands build the geodesic coding, analyze the shift structure, and
 emit growth, Manhattan-curve, spectral-scan, counting, correlation and
 mixing artifacts as JSON/CSV files.  Every artifact carries the config
 hash in a header; reruns with an identical config are byte-identical.
+One ``Run`` per invocation holds what the stages share, so ``report``
+builds the group, automaton and metrics once and solves each growth rate
+and arithmeticity once.
 
-Exit codes: 0 ok, 2 validation/config failure, 3 unsaturated automaton,
-4 resource cap exceeded, 5 numeric failure.
+Exit codes: 0 ok, 2 invalid configuration or failed validation,
+3 unsaturated automaton, 4 resource cap exceeded, 5 numeric failure.
 """
 from __future__ import annotations
 
@@ -17,63 +20,27 @@ import math
 import os
 import sys
 import tempfile
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .automaton import (
-    AutomatonError,
-    GeodesicAutomaton,
-    UnsaturatedError,
-    build_shortlex_acceptor,
-    saturate,
-    validate_bijection,
-)
-from .counting import (
-    CountingError,
-    correlate,
-    count_ball,
-    error_term_fit,
-    fit_asymptotic,
-)
-from .groups import (
-    FreeGroup,
-    GroupError,
-    GroupPresentation,
-    ResourceCapError,
-    SchottkyGroup,
-    SmallCancellationGroup,
-    standard_schottky,
-    surface_group,
-)
-from .metrics import (
-    FuchsianOrbit,
-    GreenClosedForm,
-    GreenNumeric,
-    LinearCombination,
-    MetricError,
-    MetricModel,
-    ScaledWordMetric,
-    WordMetric,
-)
-from .shift import (
-    Component,
-    ShiftError,
-    arithmeticity,
-    cross_check_maximal,
-    scc_decompose,
-    word_maximal_components,
-)
-from .thermo import (
-    ThermoError,
-    correlation_exponent,
-    cylinder_potential,
-    growth_rate,
-    manhattan_pair,
-    mixing_check,
-    spectral_scan,
-)
+from .automaton import (AutomatonError, GeodesicAutomaton, UnsaturatedError,
+                        build_shortlex_acceptor, saturate, validate_bijection)
+from .counting import (CountingError, correlate, count_ball, error_term_fit,
+                       fit_asymptotic)
+from .groups import (FreeGroup, GroupError, GroupPresentation, ResourceCapError,
+                     SchottkyGroup, SmallCancellationGroup, standard_schottky,
+                     surface_group)
+from .metrics import (FuchsianOrbit, GreenClosedForm, GreenNumeric,
+                      LinearCombination, MetricError, MetricModel,
+                      ScaledWordMetric, WordMetric)
+from .shift import (ArithmeticityReport, Component, ShiftError, arithmeticity,
+                    cross_check_maximal, scc_decompose, word_maximal_components)
+from .thermo import (CylinderPotential, ThermoError, TransferOperator,
+                     correlation_exponent, cylinder_potential, growth_rate,
+                     manhattan_pair, mixing_verdict, spectral_scan)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -92,11 +59,43 @@ DEFAULT_CONFIG = {
 }
 
 
+# command-line flags: (name, type, config section, key, help)
+FLAGS = [
+    ("depth", int, "thermo", "depth", "potential depth"),
+    ("rcone", int, "automaton", "r_cone", "cone radius"),
+    ("nmax", int, "counting", "n_max", "counting radius"),
+    ("eps", float, "counting", "eps", "correlation band"),
+]
+
+
 class ConfigError(Exception):
     pass
 
 
 # -- config handling ---------------------------------------------------------
+
+def _field(spec, key: str, kind, default=None):
+    """spec[key], or the default (if any) when the key is absent, converted
+    by kind; a missing or malformed value is a ConfigError."""
+    try:
+        value = spec[key] if default is None or key in spec else default
+        return kind(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad or missing {key!r} in {spec!r}: {exc}") from None
+
+
+def _strings(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise TypeError("expected a list of strings")
+    return value
+
+
+def _matrices(value) -> list:
+    mats = [np.array(m, dtype=float) for m in value]
+    if any(m.shape != (2, 2) for m in mats):
+        raise ValueError("expected 2x2 matrices")
+    return mats
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -119,17 +118,17 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
-    if getattr(args, "rcone", None) is not None:
-        cfg["automaton"]["r_cone"] = args.rcone
-    if getattr(args, "depth", None) is not None:
-        cfg["thermo"]["depth"] = args.depth
-    if getattr(args, "nmax", None) is not None:
-        cfg["counting"]["n_max"] = args.nmax
-    if getattr(args, "eps", None) is not None:
-        cfg["counting"]["eps"] = args.eps
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section} must be a JSON object")
+    if not isinstance(cfg["metrics"], list):
+        raise ConfigError("metrics must be a list")
+    for flag, _, section, key, _ in FLAGS:
+        if getattr(args, flag, None) is not None:
+            cfg[section][key] = getattr(args, flag)
     if len(cfg["metrics"]) > 2:
         raise ConfigError("at most two metrics")
-    if cfg["counting"]["eps"] <= 0:
+    if _field(cfg["counting"], "eps", float) <= 0:
         raise ConfigError("counting.eps must be positive")
     return cfg
 
@@ -140,43 +139,50 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_group(spec: dict) -> GroupPresentation:
-    family = spec.get("family")
+    family = _field(spec, "family", str)
     if family == "free":
-        return FreeGroup(int(spec.get("rank", 2)))
+        return FreeGroup(_field(spec, "rank", int, 2))
     if family == "surface":
-        return surface_group(int(spec.get("genus", 2)))
+        return surface_group(_field(spec, "genus", int, 2))
     if family == "small_cancellation":
-        return SmallCancellationGroup(spec["generators"], spec["relators"])
+        return SmallCancellationGroup(
+            _field(spec, "generators", _strings), _field(spec, "relators", _strings)
+        )
     if family == "schottky":
         if "matrices" in spec:
-            return SchottkyGroup([np.array(m, dtype=float) for m in spec["matrices"]])
-        return standard_schottky(tuple(spec.get("traces", (3.0, 5.0))))
+            return SchottkyGroup(_field(spec, "matrices", _matrices))
+        return standard_schottky(
+            _field(spec, "traces", lambda ts: tuple(map(float, ts)), (3.0, 5.0))
+        )
     raise ConfigError(f"unknown group family: {family!r}")
 
 
 def build_metric(group: GroupPresentation, spec: dict) -> MetricModel:
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", str)
     if kind == "word":
         return WordMetric(group)
     if kind == "scaled_word":
-        return ScaledWordMetric(group, float(spec["factor"]))
+        return ScaledWordMetric(group, _field(spec, "factor", float))
     if kind == "green_closed_form":
         return GreenClosedForm(group)
     if kind == "green_numeric":
         return GreenNumeric(
-            group, absorbing_radius=int(spec.get("absorbing_radius", 30))
+            group, absorbing_radius=_field(spec, "absorbing_radius", int, 30)
         )
     if kind == "fuchsian_orbit":
         return FuchsianOrbit(group)
     if kind == "linear_combination":
-        terms = [
-            (float(c), build_metric(group, sub)) for c, sub in spec["terms"]
-        ]
-        return LinearCombination(terms)
+        terms = _field(spec, "terms", lambda ts: [(float(c), sub) for c, sub in ts])
+        return LinearCombination([(c, build_metric(group, sub)) for c, sub in terms])
     raise ConfigError(f"unknown metric kind: {kind!r}")
 
 
-# -- artifact emission -------------------------------------------------------
+def _metric_depth(metric: MetricModel, depth: int) -> int:
+    """Radial metrics are depth-1 exact; deeper windows only cost time."""
+    return 1 if metric.radial_step is not None else depth
+
+
+# -- the run context ---------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
@@ -192,24 +198,75 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit_json(out_dir: str, name: str, payload: dict, cfg_hash: str) -> str:
-    doc = {
-        "header": {"config_sha256": cfg_hash, "version": __version__},
-        **payload,
-    }
-    path = os.path.join(out_dir, name)
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return path
+class Run:
+    """One CLI invocation: the config, its hash and output directory, and
+    what the stages share.  The group, the automaton with its build record,
+    the metrics, one potential per metric, the main component, and each
+    metric's growth rate and arithmeticity are built at most once, on first
+    use: the automaton stage builds no metric, and report solves nothing
+    twice."""
 
+    def __init__(self, cfg: dict, out_dir: str):
+        self.cfg, self.out_dir, self.cfg_hash = cfg, out_dir, config_hash(cfg)
+        self.payloads: dict[str, dict] = {}  # emitted JSON by file name, no header
+        self._solved: dict = {}
 
-def emit_csv(out_dir: str, name: str, body: str, cfg_hash: str) -> str:
-    path = os.path.join(out_dir, name)
-    header = f"# config_sha256={cfg_hash} version={__version__}\n"
-    _atomic_write(path, header + body)
-    return path
+    def setting(self, section: str, key: str, kind=int):
+        """A config scalar converted by kind, or a ConfigError."""
+        return _field(self.cfg[section], key, kind)
 
+    def emit_json(self, name: str, payload: dict) -> None:
+        doc = {
+            "header": {"config_sha256": self.cfg_hash, "version": __version__},
+            **payload,
+        }
+        path = os.path.join(self.out_dir, name)
+        _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        self.payloads[name] = payload
 
-# -- shared pipeline pieces --------------------------------------------------
+    def emit_csv(self, name: str, body: str) -> None:
+        header = f"# config_sha256={self.cfg_hash} version={__version__}\n"
+        _atomic_write(os.path.join(self.out_dir, name), header + body)
+
+    @cached_property
+    def group(self) -> GroupPresentation:
+        return build_group(self.cfg["group"])
+
+    @cached_property
+    def built(self) -> tuple[GeodesicAutomaton, dict]:
+        return get_automaton(self)
+
+    @property
+    def automaton(self) -> GeodesicAutomaton:
+        return self.built[0]
+
+    @cached_property
+    def metrics(self) -> list[MetricModel]:
+        return [build_metric(self.group, spec) for spec in self.cfg["metrics"]]
+
+    @cached_property
+    def component(self) -> Component:
+        return word_maximal_components(self.automaton)[0]
+
+    @cached_property
+    def potentials(self) -> list[CylinderPotential]:
+        depth = self.setting("thermo", "depth")
+        return [cylinder_potential(m, _metric_depth(m, depth)) for m in self.metrics]
+
+    def growth_rate(self, i: int) -> float:
+        return self._once(growth_rate, i)
+
+    def arithmeticity(self, i: int) -> ArithmeticityReport:
+        return self._once(arithmeticity, i)
+
+    def _once(self, solve, i: int):
+        """solve(automaton, main component, potential i), memoized."""
+        if (solve, i) not in self._solved:
+            self._solved[solve, i] = solve(
+                self.automaton, self.component, self.potentials[i]
+            )
+        return self._solved[solve, i]
+
 
 AUTOMATON_CACHE = "automaton-cache/2"  # in the cache key; bump on a format change
 
@@ -219,45 +276,45 @@ def _automaton_digest(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
+def get_automaton(run: Run) -> tuple[GeodesicAutomaton, dict]:
     """Build (or load from the on-disk cache) the shortlex acceptor for the
-    configured group and the record of its build; the cache key hashes the
+    run's group and the record of its build; the cache key hashes the
     cache format and the group and automaton specs.  An entry keeps the
     record under "build", so a warm run reports the cold run's build, and
     the sha256 of the automaton JSON under "sha256".  An entry that fails
     to parse or load, or lacks either field or does not match its sha256,
     is a cache miss: rebuilt and overwritten, with one line on stderr."""
-    group = build_group(cfg["group"])
+    cfg = run.cfg
     spec = {"group": cfg["group"], "automaton": cfg["automaton"]}
     key = config_hash({"cache": AUTOMATON_CACHE, **spec})
-    cache_path = os.path.join(out_dir, "cache", f"automaton-{key}.json")
+    cache_path = os.path.join(run.out_dir, "cache", f"automaton-{key}.json")
     if os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:
                 doc = json.load(fh)
             build, digest = doc.pop("build", None), doc.pop("sha256", None)
             if build is not None and digest == _automaton_digest(doc):
-                return GeodesicAutomaton.from_json(json.dumps(doc), group), build
+                return GeodesicAutomaton.from_json(json.dumps(doc), run.group), build
         except (AttributeError, AutomatonError, LookupError, TypeError, ValueError):
             pass
         print(f"automaton cache entry {cache_path} failed its check; rebuilding",
               file=sys.stderr)
-    r_cone = cfg["automaton"].get("r_cone")
+    r_cone = run.setting("automaton", "r_cone", lambda r: r if r is None else int(r))
     if r_cone is not None:
-        aut = build_shortlex_acceptor(group, int(r_cone))
-        probe = build_shortlex_acceptor(group, int(r_cone) + 1)
+        aut = build_shortlex_acceptor(run.group, r_cone)
+        probe = build_shortlex_acceptor(run.group, r_cone + 1)
         if probe.n_states != aut.n_states:
             raise UnsaturatedError(
                 f"state count still moving at r_cone={r_cone}: "
                 f"{aut.n_states} -> {probe.n_states}",
-                int(r_cone),
+                r_cone,
             )
-        info = {"r_cone": int(r_cone)}
+        info = {"r_cone": r_cone}
     else:
         aut, info = saturate(
-            group,
-            radii=tuple(cfg["automaton"].get("radii", (1, 2, 3, 4))),
-            n_validate=int(cfg["automaton"].get("n_validate", 6)),
+            run.group,
+            radii=run.setting("automaton", "radii", lambda rs: tuple(map(int, rs))),
+            n_validate=run.setting("automaton", "n_validate"),
         )
     entry = json.loads(aut.to_json())
     entry["sha256"] = _automaton_digest(entry)
@@ -266,35 +323,13 @@ def get_automaton(cfg: dict, out_dir: str) -> tuple[GeodesicAutomaton, dict]:
     return aut, info
 
 
-def _metrics(cfg: dict, group: GroupPresentation) -> list[MetricModel]:
-    return [build_metric(group, spec) for spec in cfg["metrics"]]
-
-
-def _main_component(aut: GeodesicAutomaton) -> Component:
-    return word_maximal_components(aut)[0]
-
-
-def _growth(aut: GeodesicAutomaton, metric: MetricModel, depth: int) -> float:
-    comp = _main_component(aut)
-    return growth_rate(aut, comp, cylinder_potential(metric, depth))
-
-
-def _metric_depth(metric: MetricModel, depth: int) -> int:
-    """Radial metrics are depth-1 exact; deeper windows only cost time."""
-    if metric.radial_step is not None:
-        return 1
-    return depth
-
-
 # -- subcommands -------------------------------------------------------------
 
-def cmd_automaton(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, info = get_automaton(cfg, out_dir)
-    n_validate = int(cfg["automaton"].get("n_validate", 6))
-    report = validate_bijection(aut, n_validate)
-    emit_json(out_dir, "automaton.json", json.loads(aut.to_json()), cfg_hash)
-    emit_json(
-        out_dir,
+def cmd_automaton(run: Run) -> int:
+    aut, info = run.built
+    report = validate_bijection(aut, run.setting("automaton", "n_validate"))
+    run.emit_json("automaton.json", json.loads(aut.to_json()))
+    run.emit_json(
         "bijection.json",
         {
             "ok": report.ok,
@@ -304,7 +339,6 @@ def cmd_automaton(cfg: dict, out_dir: str, cfg_hash: str) -> int:
             "first_failure": report.first_failure,
             "build": info,
         },
-        cfg_hash,
     )
     if not report.ok:
         print("bijection validation failed", file=sys.stderr)
@@ -312,14 +346,8 @@ def cmd_automaton(cfg: dict, out_dir: str, cfg_hash: str) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    group = aut.group
-    metrics = _metrics(cfg, group)
-    depth = int(cfg["thermo"]["depth"])
-    comps = scc_decompose(aut)
-    comp = _main_component(aut)
-
+def cmd_analyze(run: Run) -> int:
+    aut = run.automaton
     payload = {
         "components": [
             {
@@ -328,17 +356,15 @@ def cmd_analyze(cfg: dict, out_dir: str, cfg_hash: str) -> int:
                 "period": c.period,
                 "trivial": c.trivial,
             }
-            for c in comps
+            for c in scc_decompose(aut)
         ],
         "metrics": [],
     }
     ok = True
-    for metric in metrics:
-        k = _metric_depth(metric, depth)
-        pot = cylinder_potential(metric, k)
-        v_d = growth_rate(aut, comp, pot)
-        cross = cross_check_maximal(aut, pot, v_d)
-        arith = arithmeticity(aut, comp, pot)
+    for i, metric in enumerate(run.metrics):
+        v_d = run.growth_rate(i)
+        cross = cross_check_maximal(aut, run.potentials[i], v_d)
+        arith = run.arithmeticity(i)
         ok = ok and cross.ok and cross.disjoint
         payload["metrics"].append(
             {
@@ -356,38 +382,28 @@ def cmd_analyze(cfg: dict, out_dir: str, cfg_hash: str) -> int:
                 },
             }
         )
-    emit_json(out_dir, "analyze.json", payload, cfg_hash)
+    run.emit_json("analyze.json", payload)
     if not ok:
         print("maximal-component cross-check failed", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def cmd_growth(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    depth = int(cfg["thermo"]["depth"])
-    rates = {}
-    for metric in _metrics(cfg, aut.group):
-        rates[metric.kind] = _growth(
-            aut, metric, _metric_depth(metric, depth)
-        )
-    emit_json(out_dir, "growth.json", {"growth_rates": rates}, cfg_hash)
+def cmd_growth(run: Run) -> int:
+    rates = {m.kind: run.growth_rate(i) for i, m in enumerate(run.metrics)}
+    run.emit_json("growth.json", {"growth_rates": rates})
     return EXIT_OK
 
 
-def cmd_manhattan(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    metrics = _metrics(cfg, aut.group)
-    if len(metrics) != 2:
+def cmd_manhattan(run: Run) -> int:
+    if len(run.cfg["metrics"]) != 2:
         raise ConfigError("manhattan needs exactly two metrics")
-    depth = int(cfg["thermo"]["depth"])
-    comp = _main_component(aut)
-    pot_a = cylinder_potential(metrics[0], _metric_depth(metrics[0], depth))
-    pot_b = cylinder_potential(metrics[1], _metric_depth(metrics[1], depth))
-    v_b = growth_rate(aut, comp, pot_b)
-    points = int(cfg["manhattan"]["points"])
+    aut, comp, (pot_a, pot_b) = run.automaton, run.component, run.potentials
+    v_b = run.growth_rate(1)
+    points = run.setting("manhattan", "points")
     grid = np.linspace(0.0, v_b, points)
-    theta = [manhattan_pair(aut, comp, pot_a, pot_b, float(t)) for t in grid]
+    op = TransferOperator(aut, comp.vertices, [pot_a, pot_b])
+    theta = [manhattan_pair(aut, comp, pot_a, pot_b, float(t), op=op) for t in grid]
     mid = theta[points // 2]
     affine = abs(mid - 0.5 * (theta[0] + theta[-1])) < 1e-9
     convex_ok = all(
@@ -397,9 +413,8 @@ def cmd_manhattan(cfg: dict, out_dir: str, cfg_hash: str) -> int:
     body = "t,theta\n" + "".join(
         f"{float(t)!r},{float(th)!r}\n" for t, th in zip(grid, theta)
     )
-    emit_csv(out_dir, "manhattan.csv", body, cfg_hash)
-    emit_json(
-        out_dir,
+    run.emit_csv("manhattan.csv", body)
+    run.emit_json(
         "manhattan.json",
         {
             "theta_at_0": theta[0],
@@ -408,32 +423,28 @@ def cmd_manhattan(cfg: dict, out_dir: str, cfg_hash: str) -> int:
             "affine": affine,
             "midpoint_convex": convex_ok,
         },
-        cfg_hash,
     )
     if affine:
         print("warning: affine Manhattan curve (dependent pair)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_scan(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    metric = _metrics(cfg, aut.group)[0]
-    depth = _metric_depth(metric, int(cfg["thermo"]["depth"]))
-    comp = _main_component(aut)
-    pot = cylinder_potential(metric, depth)
-    v = growth_rate(aut, comp, pot)
-    scan_cfg = cfg["scan"]
+def cmd_scan(run: Run) -> int:
+    v = run.growth_rate(0)
     grid = np.linspace(
-        float(scan_cfg["t_min"]), float(scan_cfg["t_max"]), int(scan_cfg["points"])
+        run.setting("scan", "t_min", float),
+        run.setting("scan", "t_max", float),
+        run.setting("scan", "points"),
     )
-    points = spectral_scan(aut, comp, pot, v, [float(t) for t in grid])
+    points = spectral_scan(
+        run.automaton, run.component, run.potentials[0], v, [float(t) for t in grid]
+    )
     body = "t,rho,unit_distance,gap,exact\n" + "".join(
         f"{p.t!r},{p.rho!r},{p.unit_distance!r},{p.gap!r},{int(p.exact)}\n"
         for p in points
     )
-    emit_csv(out_dir, "scan.csv", body, cfg_hash)
-    emit_json(
-        out_dir,
+    run.emit_csv("scan.csv", body)
+    run.emit_json(
         "scan.json",
         {
             "growth_rate": v,
@@ -444,18 +455,13 @@ def cmd_scan(cfg: dict, out_dir: str, cfg_hash: str) -> int:
                 default=float("nan"),
             ),
         },
-        cfg_hash,
     )
     return EXIT_OK
 
 
-def cmd_count(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    metric = _metrics(cfg, aut.group)[0]
-    depth = _metric_depth(metric, int(cfg["thermo"]["depth"]))
-    n_max = int(cfg["counting"]["n_max"])
-    v = _growth(aut, metric, depth)
-    report = count_ball(metric, n_max)
+def cmd_count(run: Run) -> int:
+    v = run.growth_rate(0)
+    report = count_ball(run.metrics[0], run.setting("counting", "n_max"))
     fit = fit_asymptotic(report, delta_hint=v)
     payload = json.loads(report.to_json())
     payload["fit"]["residual_series_points"] = len(fit.t_grid)
@@ -468,32 +474,27 @@ def cmd_count(cfg: dict, out_dir: str, cfg_hash: str) -> int:
         }
     else:
         payload["kappa"] = {"status": "refused_arithmetic_oscillation"}
-    emit_csv(out_dir, "count.csv", report.to_csv(), cfg_hash)
-    emit_json(out_dir, "count.json", payload, cfg_hash)
+    run.emit_csv("count.csv", report.to_csv())
+    run.emit_json("count.json", payload)
     return EXIT_OK
 
 
-def cmd_correlate(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    metrics = _metrics(cfg, aut.group)
-    if len(metrics) != 2:
+def cmd_correlate(run: Run) -> int:
+    if len(run.cfg["metrics"]) != 2:
         raise ConfigError("correlate needs exactly two metrics")
-    depth = int(cfg["thermo"]["depth"])
-    comp = _main_component(aut)
-    normalized = []
-    pots = []
-    for metric in metrics:
-        k = _metric_depth(metric, depth)
-        v = growth_rate(aut, comp, cylinder_potential(metric, k))
-        norm = LinearCombination([(v, metric)])
-        normalized.append(norm)
-        pots.append(cylinder_potential(norm, k))
-    ce = correlation_exponent(aut, comp, pots[0], pots[1])
+    normalized = [
+        LinearCombination([(run.growth_rate(i), m)]) for i, m in enumerate(run.metrics)
+    ]
+    pots = [
+        cylinder_potential(norm, pot.depth)
+        for norm, pot in zip(normalized, run.potentials)
+    ]
+    ce = correlation_exponent(run.automaton, run.component, pots[0], pots[1])
     report = correlate(
         normalized[0],
         normalized[1],
-        float(cfg["counting"]["eps"]),
-        int(cfg["counting"]["n_max"]),
+        run.setting("counting", "eps", float),
+        run.setting("counting", "n_max"),
         alpha_thermo=ce.alpha,
     )
     payload = json.loads(report.to_json())
@@ -502,22 +503,16 @@ def cmd_correlate(cfg: dict, out_dir: str, cfg_hash: str) -> int:
         "xi": ce.xi,
         "degenerate": ce.degenerate,
     }
-    emit_csv(out_dir, "correlate.csv", report.to_csv(), cfg_hash)
-    emit_json(out_dir, "correlate.json", payload, cfg_hash)
+    run.emit_csv("correlate.csv", report.to_csv())
+    run.emit_json("correlate.json", payload)
     if report.status == "underpowered":
         print("warning: covered range underpowered for the fit", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_mixing(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    aut, _ = get_automaton(cfg, out_dir)
-    metric = _metrics(cfg, aut.group)[0]
-    depth = _metric_depth(metric, int(cfg["thermo"]["depth"]))
-    comp = _main_component(aut)
-    pot = cylinder_potential(metric, depth)
-    report = mixing_check(aut, comp, pot)
-    emit_json(
-        out_dir,
+def cmd_mixing(run: Run) -> int:
+    report = mixing_verdict(run.arithmeticity(0))
+    run.emit_json(
         "mixing.json",
         {
             "verdict": report.verdict,
@@ -527,34 +522,30 @@ def cmd_mixing(cfg: dict, out_dir: str, cfg_hash: str) -> int:
                 "gap": report.arithmeticity.gap,
             },
         },
-        cfg_hash,
     )
     return EXIT_OK
 
 
-def cmd_report(cfg: dict, out_dir: str, cfg_hash: str) -> int:
-    status = {}
-    for name, handler in (
+def cmd_report(run: Run) -> int:
+    """Every applicable stage on the one run, then report.json from the
+    payloads they emitted."""
+    stages = [
         ("automaton", cmd_automaton),
         ("analyze", cmd_analyze),
         ("growth", cmd_growth),
         ("mixing", cmd_mixing),
         ("count", cmd_count),
-    ):
-        status[name] = handler(cfg, out_dir, cfg_hash)
-    if len(cfg["metrics"]) == 2:
-        status["manhattan"] = cmd_manhattan(cfg, out_dir, cfg_hash)
-        status["correlate"] = cmd_correlate(cfg, out_dir, cfg_hash)
-    combined = {}
-    for name in status:
-        path = os.path.join(out_dir, f"{name}.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                doc = json.load(fh)
-            doc.pop("header", None)
-            combined[name] = doc
+    ]
+    if len(run.cfg["metrics"]) == 2:
+        stages += [("manhattan", cmd_manhattan), ("correlate", cmd_correlate)]
+    status = {name: handler(run) for name, handler in stages}
+    combined = {
+        name: run.payloads[f"{name}.json"]
+        for name in status
+        if f"{name}.json" in run.payloads
+    }
     combined["exit_codes"] = status
-    emit_json(out_dir, "report.json", combined, cfg_hash)
+    run.emit_json("report.json", combined)
     return max(status.values())
 
 
@@ -581,37 +572,30 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--depth", type=int, default=None, help="potential depth")
-        p.add_argument("--rcone", type=int, default=None, help="cone radius")
-        p.add_argument("--nmax", type=int, default=None, help="counting radius")
-        p.add_argument("--eps", type=float, default=None, help="correlation band")
+        for flag, kind, _, _, text in FLAGS:
+            p.add_argument(f"--{flag}", type=kind, default=None, help=text)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one subcommand.  Library and numeric failures map to exit codes;
+    any other exception is a programming error and propagates."""
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args)
-        cfg_hash = config_hash(cfg)
+        run = Run(load_config(args.config, args), args.out)
         os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, cfg_hash)
+        return COMMANDS[args.command](run)
     except UnsaturatedError as exc:
         print(f"unsaturated: {exc}", file=sys.stderr)
         return EXIT_UNSATURATED
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        ThermoError,
-        MetricError,
-        ShiftError,
-        CountingError,
-        ArithmeticError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (ThermoError, MetricError, ShiftError, CountingError, ArithmeticError,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (AutomatonError, ConfigError, GroupError, KeyError, TypeError, ValueError) as exc:
+    except (AutomatonError, ConfigError, GroupError) as exc:
         print(f"invalid configuration: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -145,15 +145,18 @@ class GroupPresentation:
                 raise SymbolError(f"symbol {s!r} outside alphabet")
 
     def parse_word(self, text: str) -> Word:
-        """Parse 'abA' or 'a b a^-1' style words (uppercase = inverse)."""
+        """Parse 'abA' or 'a b a^-1' style words (uppercase = inverse).  A
+        chunk that names a generator ('a1', 'A1') is that one letter."""
+        lower = {n: i + 1 for i, n in enumerate(self.generator_names)}
         tokens: list[str] = []
         for chunk in text.replace(",", " ").split():
             if chunk.endswith("^-1"):
                 tokens.append(chunk[:-3].upper())
+            elif chunk.lower() in lower:
+                tokens.append(chunk)
             else:
                 tokens.extend(chunk)
         word = []
-        lower = {n: i + 1 for i, n in enumerate(self.generator_names)}
         for t in tokens:
             if t.lower() not in lower:
                 raise SymbolError(f"unknown generator {t!r}")

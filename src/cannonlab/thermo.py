@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from .automaton import IDENTITY_LABEL, GeodesicAutomaton
 from .groups import Word
 from .metrics import MetricModel
-from .shift import Component, arithmeticity
+from .shift import ArithmeticityReport, Component, arithmeticity
 
 
 class ThermoError(Exception):
@@ -346,10 +346,13 @@ def _root(f, lo: float, hi: float) -> float:
         if expand > 6:
             raise ThermoError("root bracketing failed")
     known = {lo: flo, hi: fhi}
-    return scipy.optimize.brentq(
-        lambda x: known[x] if x in known else f(x),
-        lo, hi, xtol=1e-14, rtol=8.9e-16,
-    )
+    try:
+        return scipy.optimize.brentq(
+            lambda x: known[x] if x in known else f(x),
+            lo, hi, xtol=1e-14, rtol=8.9e-16,
+        )
+    finally:
+        del f  # brentq's wrapper is a self-referencing closure: it must not keep f
 
 
 def growth_rate(
@@ -597,7 +600,7 @@ def spectral_scan(
 class MixingReport:
     verdict: str  # "weak_mixing" | "not_weak_mixing" | "inconclusive"
     lattice_gap: Optional[float]
-    arithmeticity: object
+    arithmeticity: ArithmeticityReport
 
 
 def mixing_check(
@@ -606,9 +609,14 @@ def mixing_check(
     potential: CylinderPotential,
     l_max: int = 6,
 ) -> MixingReport:
-    """Weak mixing of the suspension with roof Psi: non-arithmetic roof
-    values imply weak mixing, a lattice gives the period."""
-    rep = arithmeticity(aut, comp, potential, l_max=l_max)
+    """Weak mixing of the suspension with roof Psi; see mixing_verdict."""
+    return mixing_verdict(arithmeticity(aut, comp, potential, l_max=l_max))
+
+
+def mixing_verdict(rep: ArithmeticityReport) -> MixingReport:
+    """Weak mixing of the suspension with roof Psi, read off the
+    arithmeticity of its orbit sums: non-arithmetic roof values imply weak
+    mixing, a lattice gives the period."""
     if rep.verdict == "lattice":
         return MixingReport("not_weak_mixing", rep.gap, rep)
     if rep.verdict == "non_arithmetic":

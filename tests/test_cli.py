@@ -2,10 +2,11 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
-from cannonlab import cli
+from cannonlab import cli, thermo
 
 
 def write_config(tmp_path, cfg):
@@ -210,6 +211,77 @@ def test_invalid_config_exits_2(tmp_path):
     assert code2 == 2
     code3, _ = run(tmp_path, "growth", "--config", str(tmp_path / "missing.json"))
     assert code3 == 2
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"metrics": [{"kind": "scaled_word"}]},
+        {"group": {"family": "small_cancellation", "generators": ["a", "b"]}},
+        {"thermo": {"depth": "deep"}},
+    ],
+    ids=["scaled_word_without_factor", "small_cancellation_without_relators",
+         "non_numeric_depth"],
+)
+def test_malformed_config_exits_2(tmp_path, cfg, capsys):
+    code, _ = run(tmp_path, "growth", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_programming_error_in_a_stage_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "count_ball", broken)
+    with pytest.raises(TypeError, match="injected"):
+        run(tmp_path, "count")
+
+
+def counted(monkeypatch, name):
+    """The calls of the library function that cli binds to name, under every
+    cannonlab module's binding of it."""
+    original, calls = getattr(cli, name), []
+
+    def counter(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cannonlab") and (
+            getattr(module, name, None) is original
+        ):
+            monkeypatch.setattr(module, name, counter)
+    return calls
+
+
+def test_report_builds_and_solves_each_shared_input_once(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        {
+            "group": {"family": "schottky", "traces": [3.0, 5.0]},
+            "metrics": [{"kind": "word"}, {"kind": "fuchsian_orbit"}],
+            "thermo": {"depth": 3},
+            "counting": {"n_max": 6},
+        },
+    )
+    names = ("build_group", "get_automaton", "growth_rate", "arithmeticity")
+    calls = {name: counted(monkeypatch, name) for name in names}
+    compiles = []
+    init = thermo.TransferOperator.__init__
+    monkeypatch.setattr(
+        thermo.TransferOperator,
+        "__init__",
+        lambda self, *args, **kwargs: compiles.append(1) or init(self, *args, **kwargs),
+    )
+    code, _ = run(tmp_path, "report", "--config", cfg)
+    assert code == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "build_group": 1, "get_automaton": 1, "growth_rate": 2, "arithmeticity": 2,
+    }
+    # growth rates, cross-checks and orbit sums of two potentials, the
+    # Manhattan pair and the normalized pair of the correlation exponent
+    assert len(compiles) <= 8
 
 
 def test_unsaturated_radii_exit_3(tmp_path):

@@ -83,6 +83,16 @@ def test_surface_relator_is_trivial(genus2):
     assert genus2.normal_form(r) == ()
 
 
+def test_surface_group_of_genus_3_reads_multi_letter_generators():
+    g = groups.surface_group(3)  # generators a1, b1, ..., b3
+    assert g.rank == 6
+    (relator,) = g.relator_words
+    assert len(relator) == 12
+    assert g.normal_form(relator) == ()
+    assert len(g.sphere_words(1)) == 12
+    assert g.parse_word("a1 B2 b3^-1") == (1, -4, -6)
+
+
 def test_dehn_reduction_shortens_long_relator_pieces(genus2):
     r = genus2.parse_word("a b A B c d C D")
     w = r[:5]  # more than half of the relator

@@ -1,7 +1,9 @@
 """Transfer operators: pressures, growth rates, Gibbs data, Manhattan curves."""
 import cmath
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,28 @@ def test_pressure_closed_form_for_word_potential(free2_aut, free2_comp, free2, l
 def test_growth_rate_word_is_log3(free2_aut, free2_comp, free2, log3):
     pot = thermo.cylinder_potential(metrics.WordMetric(free2), 1)
     v = thermo.growth_rate(free2_aut, free2_comp, pot)
+    assert abs(v - log3) < 1e-9
+
+
+def test_root_leaves_no_cycle_holding_the_operator(
+    free2_aut, free2_comp, free2, log3, monkeypatch
+):
+    compiled = []
+
+    class Recorded(thermo.TransferOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            compiled.append(weakref.ref(self))
+
+    monkeypatch.setattr(thermo, "TransferOperator", Recorded)
+    pot = thermo.cylinder_potential(metrics.WordMetric(free2), 1)
+    gc.disable()
+    try:
+        v = thermo.growth_rate(free2_aut, free2_comp, pot)
+        # freed by reference counting alone, with the cyclic collector off
+        assert len(compiled) == 1 and compiled[0]() is None
+    finally:
+        gc.enable()
     assert abs(v - log3) < 1e-9
 
 
