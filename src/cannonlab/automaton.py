@@ -499,30 +499,26 @@ def validate_bijection(aut: GeodesicAutomaton, n_max: int) -> BijectionReport:
                  "accepted": c, "expected": s},
             )
     if aut.shortlex_unique:
-        seen: set = set()
-        # DFS with incremental normal forms (one cached extension per edge)
-        stack: list[tuple[Word, int, Word]] = [((), aut.initial, ())]
-        while stack:
-            word, state, nf = stack.pop()
-            if len(word) < n_max:
-                for label, v in aut.transitions[state]:
-                    if label != IDENTITY_LABEL:
-                        stack.append(
-                            (word + (label,), v, group.extend(nf, label))
-                        )
-            if len(nf) != len(word):
-                return BijectionReport(
-                    False, n_max, counts, spheres,
-                    {"kind": "non_geodesic_word",
-                     "word": group.word_to_str(word)},
-                )
-            if nf in seen:
-                return BijectionReport(
-                    False, n_max, counts, spheres,
-                    {"kind": "duplicate_element",
-                     "word": group.word_to_str(word)},
-                )
-            seen.add(nf)
+        # word i of level n is word parent[i] of level n - 1 times label[i];
+        # geodesic words of different lengths never collide
+        levels = list(aut.walk(n_max))
+        nfs: list[Word] = [()]
+        for n, level in enumerate(levels[1:], 1):
+            nfs = [group.extend(nfs[p], s)
+                   for p, s in zip(level.parent.tolist(), level.label.tolist())]
+            seen: set = set()
+            for i, nf in enumerate(nfs):
+                kind = ("non_geodesic_word" if len(nf) != n
+                        else "duplicate_element" if nf in seen else None)
+                if kind is not None:  # spell word i back along its parents
+                    word: Word = ()
+                    for lv in reversed(levels[1 : n + 1]):
+                        word, i = (int(lv.label[i]),) + word, int(lv.parent[i])
+                    return BijectionReport(
+                        False, n_max, counts, spheres,
+                        {"kind": kind, "word": group.word_to_str(word)},
+                    )
+                seen.add(nf)
     return BijectionReport(True, n_max, counts, spheres)
 
 

@@ -131,7 +131,6 @@ class GroupPresentation:
         self._nf_cache: dict[Word, Word] = {}
         self._ext_cache: dict[tuple[Word, int], Word] = {}
         self._spheres: list[list[Word]] = [[()]]
-        self._sphere_sets: list[frozenset] = [frozenset([()])]
 
     # -- orders and parsing ------------------------------------------------
 
@@ -194,7 +193,8 @@ class GroupPresentation:
         return Element(self, ())
 
     def extend(self, word: Word, s: int) -> Word:
-        """Normal form of ``word * s`` (cached; hot path for enumeration)."""
+        """Normal form of ``word * s``, where ``word`` must be a normal form
+        (cached; hot path for enumeration)."""
         key = (word, s)
         nf = self._ext_cache.get(key)
         if nf is None:
@@ -206,28 +206,29 @@ class GroupPresentation:
 
     def _grow_spheres(self, n: int, cap: int) -> None:
         while len(self._spheres) <= n:
-            prev = self._spheres[-1]
             level = len(self._spheres)
-            known = set().union(*self._sphere_sets[-2:])
             nxt = set()
-            for w in prev:
+            for w in self._spheres[-1]:
+                back = -w[-1] if w else 0  # w * back is level - 2 long
                 for s in self.alphabet:
-                    nf = self.extend(w, s)
-                    if len(nf) != level or nf in known:
-                        if len(nf) > level:
-                            raise GroupError(
-                                "normal form longer than BFS level; "
-                                "presentation machinery inconsistent"
-                            )
+                    if s == back:
                         continue
-                    nxt.add(nf)
+                    nf = self.extend(w, s)
+                    if len(nf) == level:
+                        nxt.add(nf)
+                    elif len(nf) > level:
+                        raise GroupError(
+                            "normal form longer than BFS level; "
+                            "presentation machinery inconsistent"
+                        )
                 if len(nxt) > cap:
                     raise ResourceCapError(
                         f"sphere {level} exceeds cap {cap}"
                     )
-            ordered = sorted(nxt, key=self.shortlex_key)
-            self._spheres.append(ordered)
-            self._sphere_sets.append(frozenset(nxt))
+            words = list(nxt)
+            rank = np.array(words, dtype=np.int64).reshape(len(words), level)
+            rank = 2 * (np.abs(rank) - 1) + (rank < 0)  # shortlex letter order
+            self._spheres.append([words[i] for i in np.lexsort(rank.T[::-1])])
 
     def sphere_words(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> list[Word]:
         if n < 0:
@@ -243,8 +244,7 @@ class GroupPresentation:
         return out
 
     def sphere_set(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> frozenset:
-        self._grow_spheres(n, cap)
-        return self._sphere_sets[n]
+        return frozenset(self.sphere_words(n, cap))
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -273,8 +273,12 @@ class FreeGroup(GroupPresentation):
             raise PresentationError("generator_names must match rank")
         super().__init__(generator_names)
 
-    def _canonical(self, word: Word) -> Word:
+    def normal_form(self, word: Sequence[int]) -> Word:
         return free_reduce(word)
+
+    def extend(self, word: Word, s: int) -> Word:
+        """Normal form of ``word * s`` for a reduced ``word``, uncached."""
+        return word[:-1] if word and word[-1] == -s else word + (s,)
 
     @staticmethod
     def cyclic_reduce(word: Word) -> Word:

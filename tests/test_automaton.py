@@ -1,4 +1,5 @@
 """Geodesic acceptors: construction, validation, serialization."""
+import dataclasses
 import json
 import warnings
 
@@ -39,6 +40,36 @@ def test_validate_bijection_detects_dropped_edge(free2_aut):
     report = automaton.validate_bijection(broken, 4)
     assert not report.ok
     assert report.first_failure["kind"] == "count_mismatch"
+
+
+def _relabel(aut, state, old, new):
+    """Copy with the ``old``-labelled edge leaving ``state`` relabelled
+    ``new``; no state's out-degree changes, so the counts still match."""
+    rows = [list(r) for r in aut.transitions]
+    (target,) = [v for label, v in rows[state] if label == old]
+    rows[state].remove((old, target))
+    rows[state].append((new, target))
+    return dataclasses.replace(
+        aut, transitions=tuple(tuple(sorted(r)) for r in rows)
+    )
+
+
+def test_validate_bijection_names_the_shortest_non_geodesic_word(free2_aut):
+    after_a = free2_aut.step(free2_aut.initial, 1)
+    broken = _relabel(free2_aut, after_a, 2, -1)  # the edge b after a reads A
+    report = automaton.validate_bijection(broken, 4)
+    assert report.accepted_counts == report.sphere_sizes
+    assert not report.ok
+    assert report.first_failure == {"kind": "non_geodesic_word", "word": "aA"}
+
+
+def test_validate_bijection_names_the_shortest_duplicate(free2_aut):
+    after_a = free2_aut.step(free2_aut.initial, 1)
+    broken = _relabel(free2_aut, after_a, -2, 2)  # two edges b after a
+    report = automaton.validate_bijection(broken, 4)
+    assert report.accepted_counts == report.sphere_sizes
+    assert not report.ok
+    assert report.first_failure == {"kind": "duplicate_element", "word": "ab"}
 
 
 def test_surface_acceptor_validates(genus2_aut):

@@ -224,8 +224,6 @@ def test_enumeration_runs_without_the_word_problem(log3, monkeypatch):
     free2 = groups.FreeGroup(2)
     free2_aut = automaton.build_shortlex_acceptor(free2, 1)
     schottky = groups.standard_schottky()
-    # the acceptor built inside each call reads only these cached normal forms
-    automaton.build_shortlex_acceptor(schottky, 1)
     d = metrics.FuchsianOrbit(schottky)
     d_star = metrics.FuchsianOrbit(schottky, complex(0.3, 2.0))
     wm = metrics.WordMetric(free2)
@@ -235,6 +233,7 @@ def test_enumeration_runs_without_the_word_problem(log3, monkeypatch):
 
     monkeypatch.setattr(metrics.MetricModel, "dist_word", forbidden)
     monkeypatch.setattr(groups.GroupPresentation, "normal_form", forbidden)
+    monkeypatch.setattr(groups.FreeGroup, "normal_form", forbidden)
     res = counting.poincare_compare(free2_aut, wm, log3 + 0.1, 8)
     assert res.max_rel_mismatch < 1e-12
     assert len(counting.count_ball(d, 8).distances) == 1 + 2 * (3 ** 8 - 1)

@@ -1,4 +1,5 @@
 """Presentations, normal forms and conjugacy."""
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cannonlab import groups
+from cannonlab import automaton, groups
 
 letters = st.sampled_from([1, -1, 2, -2])
 raw_words = st.lists(letters, max_size=12).map(tuple)
@@ -73,9 +74,52 @@ def test_shortlex_order_interleaves_inverses(free2):
 
 def test_surface_group_sphere_sizes(genus2):
     # independent count: free-product spheres minus half-relator merges
-    expect = [1, 8, 56, 392, 2736]
-    got = [len(genus2.sphere_words(n)) for n in range(5)]
-    assert got == expect
+    expect = [1, 8, 56, 392, 2736, 19096]
+    spheres = [genus2.sphere_words(n) for n in range(6)]
+    assert [len(s) for s in spheres] == expect
+    for s in spheres:
+        assert s == sorted(s, key=genus2.shortlex_key)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 6), (3, 4)])
+def test_free_spheres_equal_the_reduced_words(rank, radius):
+    g = groups.FreeGroup(rank)
+    for n in range(radius + 1):
+        reduced = {
+            w for w in itertools.product(g.alphabet, repeat=n)
+            if groups.free_reduce(w) == w
+        }
+        assert g.sphere_words(n) == sorted(reduced, key=g.shortlex_key)
+
+
+def test_genus_3_spheres_are_in_shortlex_order():
+    g = groups.surface_group(3)
+    for n in range(3):
+        s = g.sphere_words(n)
+        assert s == sorted(s, key=g.shortlex_key)
+        assert len(set(s)) == len(s)
+
+
+def test_free_families_keep_no_per_word_caches():
+    for g in (groups.FreeGroup(2), groups.standard_schottky()):
+        g.sphere_words(8)
+        aut = automaton.build_shortlex_acceptor(g, 2)
+        assert automaton.validate_bijection(aut, 8).ok
+        g.ball_words(5)
+        assert g._nf_cache == {} and g._ext_cache == {}
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: groups.FreeGroup(2), groups.standard_schottky, groups.surface_group],
+    ids=["F2", "schottky", "genus2"],
+)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_extend_is_the_normal_form_of_the_product(make, data):
+    g = make()
+    w = g.normal_form(data.draw(st.lists(st.sampled_from(g.alphabet), max_size=12)))
+    s = data.draw(st.sampled_from(g.alphabet))
+    assert g.extend(w, s) == g.normal_form(w + (s,))
 
 
 def test_surface_relator_is_trivial(genus2):
