@@ -1,14 +1,15 @@
 """Geodesic automata for the supported groups.
 
-States are empirical cone signatures: the profile of length increments
-d(o, gh) - d(o, g) over a ball of test elements h, optionally refined by
-shortlex falsification data (which h of equal length give a smaller
-normal form).  Construction explores one representative element per
-state; correctness is enforced operationally by validate_bijection
-against brute-force enumeration, not by theory.
+Every supported group is free or small cancellation.  Its acceptor is the
+minimized pattern-avoidance automaton of the reduced words that contain
+no forbidden subword: none longer than half a symmetrized relator, and for
+the shortlex acceptor no exact half whose complement is shortlex-smaller.
+That these words are exactly the (shortlex) geodesics is not assumed:
+validate_bijection checks it against brute-force enumeration through the
+word problem.
 
 Paths from the initial state spell geodesic words; with the shortlex
-refinement, exactly one accepted word per group element.
+flag, exactly one accepted word per group element.
 """
 from __future__ import annotations
 
@@ -220,40 +221,6 @@ class GeodesicAutomaton:
 
 # -- construction ------------------------------------------------------------
 
-def _signature(
-    group: GroupPresentation,
-    ball: list[Word],
-    g: Word,
-    shortlex: bool,
-):
-    """Cone signature of the element g: increment profile over the test
-    ball, plus (for shortlex automata) which equal-length translates have
-    a smaller normal form."""
-    n = len(g)
-    nf_of: dict[Word, Word] = {(): g}
-    diffs = []
-    fals = []
-    key_g = group.shortlex_key(g)
-    for i, h in enumerate(ball):
-        if h:
-            parent = nf_of.get(h[:-1])
-            if parent is None:
-                nf = g
-                for s in h:
-                    nf = group.extend(nf, s)
-            else:
-                nf = group.extend(parent, h[-1])
-            nf_of[h] = nf
-        else:
-            nf = g
-        diffs.append(len(nf) - n)
-        if shortlex and len(nf) == n and group.shortlex_key(nf) < key_g:
-            fals.append(i)
-    if shortlex:
-        return (tuple(diffs), tuple(fals))
-    return tuple(diffs)
-
-
 def _minimize(rows: list[list], initial: int) -> tuple[list[list], int]:
     """Moore partition refinement (all states accepting, missing edges go
     to an implicit dead state), followed by canonical BFS renumbering."""
@@ -302,109 +269,49 @@ def _minimize(rows: list[list], initial: int) -> tuple[list[list], int]:
     return out_rows, 0
 
 
-def _build_by_signature(
-    presentation: GroupPresentation,
-    r_cone: int,
-    shortlex: bool,
-    state_cap: int,
-) -> tuple[list[list], int]:
-    ball = presentation.ball_words(r_cone)
-    sig_to_state: dict = {}
-    rows: list[list] = []
-    queue: list[tuple[int, Word]] = []
-
-    def state_of(word: Word) -> int:
-        sig = _signature(presentation, ball, word, shortlex)
-        st = sig_to_state.get(sig)
-        if st is None:
-            st = len(rows)
-            sig_to_state[sig] = st
-            rows.append([])
-            queue.append((st, word))
-        return st
-
-    initial = state_of(())
-    head = 0
-    while head < len(queue):
-        st, g = queue[head]
-        head += 1
-        if len(rows) > state_cap:
-            raise UnsaturatedError(
-                f"state count exceeded cap {state_cap} at r_cone={r_cone}",
-                r_cone,
-            )
-        for s in presentation.alphabet:
-            nf = presentation.extend(g, s)
-            if shortlex:
-                accepted = nf == g + (s,)
-            else:
-                accepted = len(nf) == len(g) + 1
-            if not accepted:
-                continue
-            rows[st].append((s, state_of(nf)))
-    return rows, initial
-
-
-def _forbidden_grams(group, shortlex: bool) -> dict[int, set]:
-    """Subwords that cannot occur in a (shortlex) geodesic word of a small
-    cancellation group: any subword longer than half a symmetrized relator;
-    with the shortlex flag, also any exact half whose complement is
-    letterwise smaller."""
-    by_len: dict[int, set] = {}
+def _forbidden_grams(group, shortlex: bool) -> set:
+    """Subwords that cannot occur in a (shortlex) geodesic word: a free
+    cancellation (s, -s) and any subword longer than half a symmetrized
+    relator; with the shortlex flag, also any exact half whose complement
+    is letterwise smaller.  A free group has only the cancellations."""
+    grams = {(s, -s) for s in group.alphabet}
     order = group._order
     for r in group._rotations:
-        L = len(r)
-        m = L // 2 + 1
-        by_len.setdefault(m, set()).add(r[:m])
-        if shortlex and L % 2 == 0:
-            half = L // 2
-            seg = r[:half]
-            comp = tuple(-s for s in reversed(r[half:]))
-            if tuple(order[s] for s in comp) < tuple(order[s] for s in seg):
-                by_len.setdefault(half, set()).add(seg)
-    return by_len
+        half = len(r) // 2
+        grams.add(r[: half + 1])
+        comp = tuple(-s for s in reversed(r[half:]))
+        if shortlex and len(r) % 2 == 0 and (
+            [order[s] for s in comp] < [order[s] for s in r[:half]]
+        ):
+            grams.add(r[:half])
+    return grams
 
 
-def _build_by_window(
-    group,
-    r_cone: int,
-    shortlex: bool,
-    state_cap: int,
-) -> tuple[list[list], int]:
-    """Direct construction for small cancellation groups: states are
-    suffix windows, acceptance rejects free cancellations and forbidden
-    grams ending at the new letter."""
+def _build_by_trie(group, shortlex: bool, state_cap: int) -> tuple[list[list], int]:
+    """The pattern avoidance automaton (Aho & Corasick, CACM 1975) of the
+    words containing no forbidden gram.  A state is the longest suffix of
+    the word read that is a proper prefix of a gram (every letter is one,
+    so a state keeps the last letter); an edge is rejected when a gram ends
+    at its letter.  The language, so the minimized automaton, does not
+    depend on the cone radius, and the trie bounds the state count before
+    the search."""
     grams = _forbidden_grams(group, shortlex)
-    window = max(grams) - 1 + (r_cone - 1)
-    state_of: dict[Word, int] = {(): 0}
-    rows: list[list] = [[]]
-    queue: list[tuple[int, Word]] = [(0, ())]
-    raw_cap = max(state_cap, 500_000)  # minimization shrinks this massively
-    head = 0
-    while head < len(queue):
-        st, win = queue[head]
-        head += 1
-        if len(rows) > raw_cap:
-            raise UnsaturatedError(
-                f"window count exceeded cap {raw_cap} at r_cone={r_cone}",
-                r_cone,
-            )
+    prefixes = {g[:i] for g in grams for i in range(len(g))}
+    if len(prefixes) > state_cap:
+        raise ResourceCapError(f"{len(prefixes)} gram prefixes, cap {state_cap}")
+    queue: list[Word] = [()]  # states in order of discovery
+    state_of, rows = {(): 0}, []
+    for p in queue:
+        rows.append([])
         for s in group.alphabet:
-            if win and s == -win[-1]:
+            u = p + (s,)
+            if any(u[i:] in grams for i in range(len(u))):
                 continue
-            u = win + (s,)
-            if any(
-                len(u) >= m and u[-m:] in gset for m, gset in grams.items()
-            ):
-                continue
-            nw = u[-window:]
-            t = state_of.get(nw)
-            if t is None:
-                t = len(rows)
-                state_of[nw] = t
-                rows.append([])
-                queue.append((t, nw))
-            rows[st].append((s, t))
+            q = next(u[i:] for i in range(len(u) + 1) if u[i:] in prefixes)
+            if q not in state_of:
+                state_of[q] = len(queue)
+                queue.append(q)
+            rows[-1].append((s, state_of[q]))
     return rows, 0
 
 
@@ -416,19 +323,7 @@ def _build(
 ) -> GeodesicAutomaton:
     if r_cone < 1:
         raise AutomatonError("r_cone must be >= 1")
-    if presentation.family == "small_cancellation":
-        rows, initial = _build_by_window(
-            presentation, r_cone, shortlex, state_cap
-        )
-    else:
-        rows, initial = _build_by_signature(
-            presentation, r_cone, shortlex, state_cap
-        )
-    rows, initial = _minimize(rows, initial)
-    if len(rows) > state_cap:
-        raise ResourceCapError(
-            f"minimized automaton has {len(rows)} states, cap {state_cap}"
-        )
+    rows, initial = _minimize(*_build_by_trie(presentation, shortlex, state_cap))
     return GeodesicAutomaton(
         group=presentation,
         n_states=len(rows),

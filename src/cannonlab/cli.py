@@ -26,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .automaton import (AutomatonError, GeodesicAutomaton, UnsaturatedError,
-                        build_shortlex_acceptor, saturate, validate_bijection)
+from .automaton import (AutomatonError, BijectionReport, GeodesicAutomaton,
+                        UnsaturatedError, build_shortlex_acceptor, saturate,
+                        validate_bijection)
 from .counting import (CountingError, correlate, count_ball, error_term_fit,
                        fit_asymptotic)
 from .groups import (FreeGroup, GroupError, GroupPresentation, ResourceCapError,
@@ -200,11 +201,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 class Run:
     """One CLI invocation: the config, its hash and output directory, and
-    what the stages share.  The group, the automaton with its build record,
-    the metrics, one potential per metric, the main component, and each
-    metric's growth rate and arithmeticity are built at most once, on first
-    use: the automaton stage builds no metric, and report solves nothing
-    twice."""
+    what the stages share.  The group, the automaton with its build record
+    and bijection check, the metrics, one potential per metric, the main
+    component, and each metric's growth rate and arithmeticity are built at
+    most once, on first use: the automaton stage builds no metric, and
+    report solves nothing twice."""
 
     def __init__(self, cfg: dict, out_dir: str):
         self.cfg, self.out_dir, self.cfg_hash = cfg, out_dir, config_hash(cfg)
@@ -239,6 +240,11 @@ class Run:
     @property
     def automaton(self) -> GeodesicAutomaton:
         return self.built[0]
+
+    @cached_property
+    def bijection(self) -> BijectionReport:
+        n_validate = self.setting("automaton", "n_validate")
+        return validate_bijection(self.automaton, n_validate)
 
     @cached_property
     def metrics(self) -> list[MetricModel]:
@@ -327,7 +333,7 @@ def get_automaton(run: Run) -> tuple[GeodesicAutomaton, dict]:
 
 def cmd_automaton(run: Run) -> int:
     aut, info = run.built
-    report = validate_bijection(aut, run.setting("automaton", "n_validate"))
+    report = run.bijection
     run.emit_json("automaton.json", json.loads(aut.to_json()))
     run.emit_json(
         "bijection.json",
@@ -461,9 +467,18 @@ def cmd_scan(run: Run) -> int:
 
 def cmd_count(run: Run) -> int:
     v = run.growth_rate(0)
-    report = count_ball(run.metrics[0], run.setting("counting", "n_max"))
+    # saturate records its validation; a pinned r_cone is validated here
+    validated_to = run.built[1].get("validated_to")
+    if validated_to is None and run.bijection.ok:
+        validated_to = run.bijection.n_max
+    report = count_ball(
+        run.metrics[0],
+        run.setting("counting", "n_max"),
+        automaton=None if validated_to is None else run.automaton,
+    )
     fit = fit_asymptotic(report, delta_hint=v)
     payload = json.loads(report.to_json())
+    payload["validated_to"] = validated_to
     payload["fit"]["residual_series_points"] = len(fit.t_grid)
     if not fit.oscillation:
         kappa = error_term_fit(report, fit.c, fit.delta)

@@ -34,29 +34,44 @@ class CountingError(Exception):
 
 
 def sphere_distance_arrays(
-    metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP
+    metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP,
+    automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max.
 
-    On a free group the elements are the words of the shortlex acceptor
-    (exact at cone radius 1), walked level by level through the metric's
-    ``level_kernel``; on any other group they are the normal forms of
-    ``sphere_words``.  Either way each sphere is in shortlex order, so
+    With a validated shortlex ``automaton`` of the metric's group, or on a
+    free group (whose shortlex acceptor, the reduced words, is exact), the
+    elements are the accepted words, walked level by level through the
+    metric's ``level_kernel``; on any other group they are the normal forms
+    of ``sphere_words``.  Either way each sphere is in shortlex order, so
     arrays for metrics on the same group may be combined entrywise.
     """
-    return _ball_arrays([metric], n_max, cap)[0]
+    return _ball_arrays([metric], n_max, cap, automaton)[0]
+
+
+def _acceptor(group, automaton: Optional[GeodesicAutomaton]):
+    """The acceptor whose walk enumerates the group's balls, or None for
+    ``sphere_words``: the given one, else a free group's own."""
+    if automaton is None:
+        free = isinstance(group, FreeGroup)
+        return build_shortlex_acceptor(group, 1) if free else None
+    if automaton.group is not group or not automaton.shortlex_unique:
+        raise CountingError("balls are walked on a shortlex acceptor of the group")
+    return automaton
 
 
 def _ball_arrays(
-    metrics: Sequence[MetricModel], n_max: int, cap: int
+    metrics: Sequence[MetricModel], n_max: int, cap: int,
+    automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[list[np.ndarray]]:
     """sphere_distance_arrays for several metrics on one group, from one
     enumeration of the ball."""
     group = metrics[0].group
     out: list[list[np.ndarray]] = [[] for _ in metrics]
-    if isinstance(group, FreeGroup):
+    automaton = _acceptor(group, automaton)
+    if automaton is not None:
         kernels = [m.level_kernel() for m in metrics]
-        for level in build_shortlex_acceptor(group, 1).walk(n_max, cap=cap):
+        for level in automaton.walk(n_max, cap=cap):
             for arrays, kernel in zip(out, kernels):
                 arrays.append(kernel(level))
         return out
@@ -98,6 +113,7 @@ class CountReport:
     distances: np.ndarray  # sorted over the ball
     t_cov: float
     fitted: Optional[FitResult] = None
+    enumerator: Optional[str] = None  # "acceptor" or "sphere_words"
 
     def count(self, t: float) -> int:
         """N(T) with the strict convention d(o,x) < T."""
@@ -114,6 +130,7 @@ class CountReport:
             "ball_size": int(len(self.distances)),
             "sphere_sizes": [int(s) for s in self.sphere_sizes],
             "t_cov": self.t_cov,
+            "enumerator": self.enumerator,
         }
         if self.fitted is not None:
             f = self.fitted
@@ -144,14 +161,17 @@ class CountReport:
 
 
 def count_ball(
-    metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP
+    metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP,
+    automaton: Optional[GeodesicAutomaton] = None,
 ) -> CountReport:
-    """Exact multiset of d(o,x) over the word ball of radius n_max.
+    """Exact multiset of d(o,x) over the word ball of radius n_max,
+    enumerated as ``sphere_distance_arrays`` does.
 
     N(T) is complete below t_cov, the least distance on the outermost
     sphere: every element beyond the ball is at least that far out.
     """
-    arrays = sphere_distance_arrays(metric, n_max, cap)
+    automaton = _acceptor(metric.group, automaton)
+    arrays = sphere_distance_arrays(metric, n_max, cap, automaton)
     t_cov = float(arrays[n_max].min()) if n_max >= 1 else 0.0
     distances = np.sort(np.concatenate(arrays))
     return CountReport(
@@ -160,6 +180,7 @@ def count_ball(
         sphere_sizes=[len(a) for a in arrays],
         distances=distances,
         t_cov=t_cov,
+        enumerator="sphere_words" if automaton is None else "acceptor",
     )
 
 

@@ -263,6 +263,7 @@ class GroupPresentation:
 
 class FreeGroup(GroupPresentation):
     family = "free"
+    _rotations: tuple = ()  # no relators
 
     def __init__(self, rank: int, generator_names: Optional[Sequence[str]] = None):
         if rank < 2:

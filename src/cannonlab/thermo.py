@@ -421,16 +421,25 @@ class GibbsData:
 
 
 def perron(op: TransferOperator, c: Sequence[float]) -> GibbsData:
-    """Perron data of the compiled operator at real coefficients c.  Raises
-    ThermoError when the leading eigenvalue is not real and positive (a
-    periodic component solved by ARPACK, see leading_eigen) or an
-    eigenvector is not positive."""
+    """Perron data of the compiled operator at real coefficients c.  On a
+    period-p component ARPACK may return a rotated top eigenvalue (see
+    leading_eigen); then A + |lam| I, which has the same Perron vectors, is
+    primitive and has eigenvalue ratio at most cos(pi / p), is solved, and
+    the shifted answer is checked against A.  Raises ThermoError when the
+    eigenvalue is still not real and positive or a vector is not positive."""
     c = np.asarray(c, dtype=float)
     mat = op.matrix(c)
     eig = leading_eigen(mat, left=True)
     lam = eig.value
     if lam.real <= 0 or abs(lam.imag) > RESIDUAL_TOL * abs(lam):
-        raise ThermoError(f"leading eigenvalue {lam} is not the Perron root")
+        shift = abs(lam)
+        eig = leading_eigen(mat + shift * scipy.sparse.eye(mat.shape[0]), left=True)
+        lam = eig.value - shift
+        resid = max(np.linalg.norm(a @ x - lam * x)
+                    for a, x in ((mat, eig.right), (mat.T, eig.left)))
+        if not (lam.real > 0 and abs(lam.imag) <= RESIDUAL_TOL * abs(lam)
+                and resid <= RESIDUAL_TOL * abs(lam)):
+            raise ThermoError(f"leading eigenvalue {lam} is not the Perron root")
     h, nu = eig.right.real, eig.left.real
     if np.min(h) <= 0:
         raise ThermoError("Perron right eigenvector not positive")

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from cannonlab import automaton, groups, shift
+from cannonlab import automaton, cli, groups, shift
 
 
 def test_free_group_acceptor_has_five_states(free2_aut):
@@ -126,9 +126,50 @@ def test_schottky_acceptor_matches_free_structure(schottky_aut):
     assert report.ok
 
 
-def test_state_cap_is_enforced(genus2):
+def test_state_cap_is_enforced(genus2, monkeypatch):
+    # the trie's size is known from the grams: the cap fires before the search
+    def never(rows, initial):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(automaton, "_minimize", never)
     with pytest.raises(groups.ResourceCapError):
         automaton.build_shortlex_acceptor(genus2, 2, state_cap=3)
+
+
+# sha256 prefixes of the canonical automaton JSON (the digest of a CLI
+# cache entry), pinned from the suffix-window search: the trie must build
+# the same minimized automata
+GENUS2_DIGESTS = {
+    (True, 1): "322d8271c87539e0",
+    (True, 2): "7b7e972fe0ac58a5",
+    (False, 1): "d8c37b0abeb8fe43",
+    (False, 2): "f053d60b63407b48",
+}
+
+
+@pytest.mark.parametrize("shortlex,r_cone", sorted(GENUS2_DIGESTS))
+def test_genus2_acceptors_are_pinned(genus2, shortlex, r_cone):
+    build = (automaton.build_shortlex_acceptor if shortlex
+             else automaton.build_geodesic_acceptor)
+    aut = build(genus2, r_cone)
+    assert aut.n_states == (31 if shortlex else 57)
+    digest = cli._automaton_digest(json.loads(aut.to_json()))
+    assert digest.startswith(GENUS2_DIGESTS[shortlex, r_cone])
+    for r in (1, 2, 3):
+        assert build(genus2, r).transitions == aut.transitions
+
+
+def test_trie_size_does_not_depend_on_the_cone_radius(genus2, monkeypatch):
+    raw, minimize = [], automaton._minimize
+
+    def spy(rows, initial):
+        raw.append(len(rows))
+        return minimize(rows, initial)
+
+    monkeypatch.setattr(automaton, "_minimize", spy)
+    for r in (1, 2, 3):
+        automaton.build_shortlex_acceptor(genus2, r)
+    assert raw == [49, 49, 49]
 
 
 def _level_words(levels):

@@ -69,6 +69,56 @@ def test_genus2_analyze_counts_every_closed_path(tmp_path):
     assert entry["arithmeticity"]["gap"] == 1.0
 
 
+def test_genus3_report_through_the_trie_acceptor(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "group": {"family": "surface", "genus": 3},
+            "automaton": {"n_validate": 3},
+            "counting": {"n_max": 3},
+        },
+    )
+    code, out = run(tmp_path, "report", "--config", cfg)
+    assert code == 0
+    with open(os.path.join(out, "bijection.json")) as fh:
+        bijection = json.load(fh)
+    assert bijection["ok"] is True
+    assert bijection["sphere_sizes"] == [1, 12, 132, 1452]
+    with open(os.path.join(out, "count.json")) as fh:
+        count = json.load(fh)
+    assert count["sphere_sizes"] == [1, 12, 132, 1452]
+    assert (count["enumerator"], count["validated_to"]) == ("acceptor", 3)
+
+
+def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch):
+    # a pinned cone radius records no validation in the build: count
+    # validates the acceptor itself, and walks it only if that passes
+    cfg = write_config(
+        tmp_path,
+        {"automaton": {"r_cone": 1, "n_validate": 5}, "counting": {"n_max": 6}},
+    )
+    code, out = run(tmp_path, "count", "--config", cfg)
+    assert code == 0
+    with open(os.path.join(out, "count.json")) as fh:
+        doc = json.load(fh)
+    assert (doc["enumerator"], doc["validated_to"]) == ("acceptor", 5)
+    failed = cli.validate_bijection(cli.build_shortlex_acceptor(cli.FreeGroup(2), 1), 1)
+    failed.ok = False
+    monkeypatch.setattr(cli, "validate_bijection", lambda *args: failed)
+    given, count_ball = [], cli.count_ball
+    monkeypatch.setattr(
+        cli, "count_ball",
+        lambda *args, **kwargs: given.append(kwargs["automaton"]) or count_ball(*args, **kwargs),
+    )
+    code, out = run(tmp_path, "count", "--config", cfg)
+    assert code == 0
+    assert given == [None]
+    with open(os.path.join(out, "count.json")) as fh:
+        doc = json.load(fh)
+    assert doc["validated_to"] is None
+    assert doc["sphere_sizes"] == [1] + [4 * 3 ** (n - 1) for n in range(1, 7)]
+
+
 def artifacts(out):
     """Every file under the output directory, by relative path."""
     files = {}

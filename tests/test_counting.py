@@ -289,3 +289,35 @@ def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, m
     with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
         counting.count_ball(fuchsian, 11, cap=1000)
     assert started == []
+
+
+def test_genus2_ball_through_the_acceptor_equals_sphere_words(genus2, genus2_aut, monkeypatch):
+    wm = metrics.WordMetric(genus2)
+    spheres = counting.count_ball(wm, 5)
+    assert spheres.enumerator == "sphere_words"
+    green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=3)
+    green_spheres = counting.sphere_distance_arrays(green, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sphere_words on the acceptor path")
+
+    monkeypatch.setattr(groups.GroupPresentation, "sphere_words", forbidden)
+    walked = counting.count_ball(wm, 5, automaton=genus2_aut)
+    assert walked.enumerator == "acceptor"
+    assert walked.sphere_sizes == spheres.sphere_sizes == [1, 8, 56, 392, 2736, 19096]
+    assert np.array_equal(walked.distances, spheres.distances)
+    assert walked.t_cov == spheres.t_cov
+    # both enumerations list each sphere in shortlex order
+    green_walked = counting.sphere_distance_arrays(green, 2, automaton=genus2_aut)
+    assert len(green_walked) == len(green_spheres) == 3
+    for a, b in zip(green_walked, green_spheres):
+        assert np.array_equal(a, b)
+
+
+def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(genus2, free2_aut):
+    geodesic = automaton.build_geodesic_acceptor(genus2, 1)
+    with pytest.raises(counting.CountingError):
+        counting.count_ball(metrics.WordMetric(genus2), 3, automaton=geodesic)
+    other_free2 = groups.FreeGroup(2)
+    with pytest.raises(counting.CountingError):
+        counting.count_ball(metrics.WordMetric(other_free2), 3, automaton=free2_aut)

@@ -538,6 +538,45 @@ def test_leading_eigen_tie_rule():
     assert thermo.leading_eigen(periodic).value == first.value
 
 
+def _bipartite_automaton(m):
+    """A hand-made acceptor over F2 whose states 1..2m form one component
+    of period 2: odd-side states step to even-side ones and back, with two
+    or three edges each, so the ones vector is not a Perron vector."""
+    free2 = groups.FreeGroup(2)
+    x, y = (lambda i: 1 + i % m), (lambda j: 1 + m + j % m)
+    rows = [[(1, x(0))]]
+    for i in range(m):
+        rows.append([(1, y(i)), (2, y(7 * i))] + [(-1, y(i + 5))] * (i % 3 == 0))
+    for j in range(m):
+        rows.append([(1, x(j)), (-2, x(3 * j + 1))] + [(2, x(j + 11))] * (j % 4 == 1))
+    return automaton.GeodesicAutomaton(
+        group=free2, n_states=2 * m + 1, initial=0,
+        transitions=tuple(tuple(sorted(r)) for r in rows),
+        accepts_all_geodesics=False, shortlex_unique=True, r_cone=1,
+    )
+
+
+def test_perron_data_on_a_period_2_component_with_80_blocks():
+    aut = _bipartite_automaton(40)
+    (comp,) = [c for c in shift.scc_decompose(aut) if not c.trivial]
+    assert comp.period == 2 and len(comp.vertices) == 80
+    pot = thermo.cylinder_potential(metrics.WordMetric(aut.group), 1)
+    op = thermo.TransferOperator(aut, comp.vertices, [pot])
+    mat = op.matrix([-1.0])
+    assert op.structure.n == 80 >= thermo.DENSE_BELOW
+    rho = np.max(np.abs(np.linalg.eigvals(mat.toarray())))
+    # the case the shifted solve is for: ARPACK converges to -rho here
+    assert thermo.leading_eigen(mat).value.real < 0
+    gd = thermo.perron(op, [-1.0])
+    assert abs(gd.eigenvalue - rho) <= 1e-12 * rho
+    assert np.min(gd.right) > 0 and np.min(gd.left) > 0
+    for a, x in ((mat, gd.right), (mat.T, gd.left)):
+        assert np.linalg.norm(a @ x - gd.eigenvalue * x) <= 1e-10 * rho * np.linalg.norm(x)
+    assert gd.stationary.sum() == pytest.approx(1.0, abs=1e-14)
+    # the word metric adds one per edge under any measure
+    assert gd.integrals() == pytest.approx([1.0], abs=1e-12)
+
+
 def test_badly_scaled_dense_operator_passes_the_residual_check(tmp_path):
     # at s = 4 the 4x4 matrix has entries from 7e-20 to 4.5e-4 and a tied
     # top eigenvalue; LAPACK's vector misses the residual check
