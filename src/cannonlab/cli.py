@@ -168,7 +168,9 @@ def build_metric(group: GroupPresentation, spec: dict) -> MetricModel:
         return GreenClosedForm(group)
     if kind == "green_numeric":
         return GreenNumeric(
-            group, absorbing_radius=_field(spec, "absorbing_radius", int, 30)
+            group,
+            absorbing_radius=_field(spec, "absorbing_radius", int, 30),
+            safety_margin=_field(spec, "safety_margin", int, 10),
         )
     if kind == "fuchsian_orbit":
         return FuchsianOrbit(group)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .automaton import GeodesicAutomaton, build_shortlex_acceptor
 from .groups import FreeGroup, ResourceCapError
@@ -217,6 +216,21 @@ def _fit_grid(report: CountReport) -> np.ndarray:
     return np.linspace(lo, report.t_cov, GRID_POINTS)
 
 
+def _linregress(x, y) -> tuple[float, float, float]:
+    """Least-squares line through the points (x, y): slope, intercept and
+    the slope's standard error, by the formulas of scipy.stats.linregress
+    and with its bits.  The x values must not all be equal."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    n = len(x)
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return slope, np.mean(y) - slope * np.mean(x), stderr
+
+
 def fit_asymptotic(
     report: CountReport,
     delta_hint: Optional[float] = None,
@@ -236,7 +250,7 @@ def fit_asymptotic(
     tail = grid >= grid[0] + 2.0 * (grid[-1] - grid[0]) / 3.0
     if int(tail.sum()) < 20:
         raise CountingError("not enough fitting windows in the last third")
-    slope, intercept, *_ = scipy.stats.linregress(grid[tail], np.log(counts[tail]))
+    slope, intercept, _ = _linregress(grid[tail], np.log(counts[tail]))
     if delta_hint is not None:
         delta, source = float(delta_hint), "hint"
     else:
@@ -288,10 +302,10 @@ def error_term_fit(report: CountReport, c: float, delta: float) -> KappaFit:
     if int(keep.sum()) < 5:
         return KappaFit(kappa=float("nan"), stderr=float("nan"),
                         status="unresolved", points=int(keep.sum()))
-    reg = scipy.stats.linregress(np.log(grid[keep]), np.log(resid[keep]))
+    slope, _, stderr = _linregress(np.log(grid[keep]), np.log(resid[keep]))
     return KappaFit(
-        kappa=float(-reg.slope),
-        stderr=float(reg.stderr),
+        kappa=float(-slope),
+        stderr=float(stderr),
         status="ok",
         points=int(keep.sum()),
     )
@@ -504,18 +518,17 @@ def correlate(
         return report
 
     logm = np.log(m_vals)
-    plain = scipy.stats.linregress(t_fit, logm)
-    corrected = scipy.stats.linregress(t_fit, logm + 0.5 * np.log(t_fit))
-    report.fitted_exponent = float(plain.slope)
-    report.fitted_exponent_sqrt = float(corrected.slope)
+    slope, intercept, _ = _linregress(t_fit, logm)
+    slope_sqrt, intercept_sqrt, _ = _linregress(t_fit, logm + 0.5 * np.log(t_fit))
+    report.fitted_exponent = float(slope)
+    report.fitted_exponent_sqrt = float(slope_sqrt)
     # model comparison at the pinned exponent when available: does adding
     # the 1/sqrt(T) factor explain the counts better than pure exponential?
     pinned = alpha_thermo
     if pinned is None:
-        resid_plain = logm - (plain.intercept + plain.slope * t_fit)
+        resid_plain = logm - (intercept + slope * t_fit)
         resid_sqrt = (
-            logm + 0.5 * np.log(t_fit)
-            - (corrected.intercept + corrected.slope * t_fit)
+            logm + 0.5 * np.log(t_fit) - (intercept_sqrt + slope_sqrt * t_fit)
         )
     else:
         dev_plain = logm - pinned * t_fit
@@ -559,8 +572,7 @@ def mean_ratio_diagnostic(
     decay = None
     if int(positive.sum()) >= 3:
         radii = np.arange(1, n_max + 1)[positive]
-        reg = scipy.stats.linregress(radii, np.log(fractions[positive]))
-        decay = float(reg.slope)
+        decay = float(_linregress(radii, np.log(fractions[positive]))[0])
     tail = fractions[-3:]
     flagged = bool(tail.max() > 0 and (decay is None or decay >= 0))
     return MeanRatioReport(

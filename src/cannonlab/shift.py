@@ -383,7 +383,7 @@ def arithmeticity(
     tolerance; verdicts carry explicit thresholds."""
     sums = _orbit_sums(aut, comp, potential, l_max)
     n_orbits = len(sums)
-    values = sorted({round(v, 14) for v in sums.tolist()})
+    values = sorted({round(v, 14) for v in np.unique(sums).tolist()})
     values = [v for v in values if abs(v) > tol]
     if len(values) < 2:
         return ArithmeticityReport("inconclusive", 0.0, 0.0, n_orbits)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -334,25 +333,67 @@ def pressure_orbit_estimate(
 
 def _root(f, lo: float, hi: float) -> float:
     """A zero of f by Brent's method to near machine precision, after widening
-    [lo, hi] (at most six times) until f changes sign on it.  Brent's
-    method starts from f at both ends, which the sign check has already
-    computed, so those two values are handed back rather than recomputed."""
-    flo, fhi = f(lo), f(hi)
-    expand = 0
-    while flo * fhi > 0:
-        lo, hi = lo - (hi - lo), hi + (hi - lo)
-        flo, fhi = f(lo), f(hi)
-        expand += 1
-        if expand > 6:
+    [lo, hi] (at most six times) until f changes sign on it.  The loop is
+    that of scipy's brentq (Zeros/brentq.c), step for step, with xtol 1e-14,
+    rtol 8.9e-16 and 100 iterations, so the root has the same bits; its
+    first two points are the bracket ends, whose values the sign check has
+    already computed.  A NaN value of f, or 100 steps without convergence,
+    raises ThermoError."""
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ThermoError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    flo, fhi = value(lo), value(hi)
+    widened = 0
+    while flo != 0 and fhi != 0 and (flo < 0) == (fhi < 0):
+        if widened == 6:
             raise ThermoError("root bracketing failed")
-    known = {lo: flo, hi: fhi}
-    try:
-        return scipy.optimize.brentq(
-            lambda x: known[x] if x in known else f(x),
-            lo, hi, xtol=1e-14, rtol=8.9e-16,
-        )
-    finally:
-        del f  # brentq's wrapper is a self-referencing closure: it must not keep f
+        lo, hi = lo - (hi - lo), hi + (hi - lo)
+        flo, fhi = value(lo), value(hi)
+        widened += 1
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    xtol, rtol = 1e-14, 8.9e-16
+    # the current iterate, the previous one, and the far end of the bracket
+    xpre, fpre, xcur, fcur = lo, flo, hi, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ThermoError(f"root finder did not converge in 100 steps (at {xcur!r})")
 
 
 def growth_rate(

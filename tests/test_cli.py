@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -375,3 +376,52 @@ def test_schottky_pipeline_smoke(tmp_path):
     assert entry["kind"] == "fuchsian_orbit"
     assert entry["arithmeticity"]["verdict"] == "non_arithmetic"
     assert 0.2 < entry["growth_rate"] < 0.5
+
+
+def test_root_finder_failure_exits_5(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(thermo, "pressure_terms", lambda op, c: math.nan)
+    code, _ = run(tmp_path, "growth")
+    assert code == 5
+    assert "numeric failure: root finder" in capsys.readouterr().err
+
+
+GENUS2_GREEN = {
+    "group": {"family": "surface", "genus": 2},
+    "metrics": [{"kind": "green_numeric", "absorbing_radius": 5, "safety_margin": 1}],
+    "automaton": {"n_validate": 3},
+    "thermo": {"depth": 1},
+    "counting": {"n_max": 3},
+}
+
+
+def test_green_numeric_reads_its_safety_margin(tmp_path):
+    code, out = run(tmp_path, "report", "--config", write_config(tmp_path, GENUS2_GREEN))
+    assert code == 0
+    with open(os.path.join(out, "growth.json")) as fh:
+        (rate,) = json.load(fh)["growth_rates"].values()
+    assert abs(rate - 0.99834) < 1e-5
+
+
+@pytest.mark.parametrize("margin", ["one", [1], None])
+def test_non_integer_safety_margin_exits_2(tmp_path, margin, capsys):
+    spec = {**GENUS2_GREEN["metrics"][0], "safety_margin": margin}
+    cfg = write_config(tmp_path, {**GENUS2_GREEN, "metrics": [spec]})
+    code, _ = run(tmp_path, "growth", "--config", cfg)
+    assert code == 2
+    assert "safety_margin" in capsys.readouterr().err
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    """scipy.stats and scipy.optimize take most of the start-up time, and
+    only the tests use them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import cannonlab.cli, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from cannonlab import automaton, counting, groups, metrics, thermo
 
@@ -321,3 +322,21 @@ def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(genus2, free2_aut)
     other_free2 = groups.FreeGroup(2)
     with pytest.raises(counting.CountingError):
         counting.count_ball(metrics.WordMetric(other_free2), 3, automaton=free2_aut)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4000])
+def test_linregress_is_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        x = np.sort(rng.uniform(-5.0, 5.0, n)) if trial % 2 else np.arange(1, n + 1)
+        y = rng.uniform(-3.0, 3.0) * x + rng.normal(size=n)
+        ref = scipy.stats.linregress(x, y)
+        assert counting._linregress(x, y) == (ref.slope, ref.intercept, ref.stderr)
+
+
+def test_linregress_of_constant_y_has_nan_stderr():
+    x, y = np.arange(1.0, 6.0), np.full(5, 2.0)
+    slope, intercept, stderr = counting._linregress(x, y)
+    ref = scipy.stats.linregress(x, y)
+    assert (slope, intercept) == (ref.slope, ref.intercept) == (0.0, 2.0)
+    assert math.isnan(stderr) and math.isnan(ref.stderr)

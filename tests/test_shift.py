@@ -1,6 +1,7 @@
 """Subshift structure: components, loops, lattice behavior, coverage."""
 import math
 
+import numpy as np
 import pytest
 
 from cannonlab import automaton, groups, metrics, shift, thermo
@@ -214,3 +215,29 @@ def test_cover_check_reaches_full_sphere(free2_aut, free2_comp):
     rep = shift.gqt_cover_check(free2_aut, free2_comp, r=1, n=3)
     assert rep.covered_fraction == 1.0
     assert rep.sphere_size == 36
+
+
+@pytest.mark.parametrize("case", ["genus3_word", "schottky_fuchsian"])
+def test_arithmeticity_values_are_deduplicated_before_rounding(
+    case, schottky_aut, schottky_comp, fuchsian, monkeypatch
+):
+    """Rounding the distinct orbit sums gives the set that rounding every
+    sum gives, so the lattice values and the verdict are unchanged."""
+    if case == "genus3_word":
+        genus3 = groups.surface_group(3)
+        aut = automaton.build_shortlex_acceptor(genus3, 2)
+        comp = shift.word_maximal_components(aut)[0]
+        pot = thermo.cylinder_potential(metrics.WordMetric(genus3), 1)
+    else:
+        aut, comp = schottky_aut, schottky_comp
+        pot = thermo.cylinder_potential(fuchsian, 4)
+    seen = []
+    orbit_sums = shift._orbit_sums
+    monkeypatch.setattr(
+        shift, "_orbit_sums", lambda *a: seen.append(orbit_sums(*a)) or seen[-1]
+    )
+    rep = shift.arithmeticity(aut, comp, pot)
+    (sums,) = seen
+    old = sorted({round(v, 14) for v in sums.tolist()})
+    assert sorted({round(v, 14) for v in np.unique(sums).tolist()}) == old
+    assert rep.sample_values == [v for v in old if abs(v) > 1e-8][:12]

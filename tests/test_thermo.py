@@ -638,3 +638,73 @@ def test_roots_reuse_the_bracket_end_values(monkeypatch):
     )
     ce = thermo.correlation_exponent(aut, comp, pw, pf)
     assert ce.xi == xi_ref and len(calls) == r.function_calls
+
+
+def _smooth_family(rng, i):
+    """A seeded smooth function with one simple zero r, and r."""
+    r, a, c = rng.uniform(-2, 2), rng.uniform(0.1, 5), rng.uniform(0.01, 3)
+    forms = [
+        lambda x: (x - r) * (c + a * (x - r) ** 2),
+        lambda x: math.expm1(a * (x - r)),
+        lambda x: math.tanh(a * (x - r)) + 0.05 * (x - r),
+        lambda x: c * math.atan(x - r) + (x - r) ** 5,
+        lambda x: math.sinh(x - r) + a * (x - r) ** 3,
+    ]
+    return forms[i % len(forms)], r
+
+
+def _counting(f):
+    calls = []
+    return (lambda x: calls.append(x) or f(x)), calls
+
+
+def test_root_is_brentq_bit_for_bit():
+    """The Brent loop of _root returns brentq's root with brentq's number
+    of evaluations: on seeded smooth functions, on brackets with the zero
+    at either end, and on brackets that must be widened first."""
+    tol = dict(xtol=1e-14, rtol=8.9e-16, full_output=True)
+    rng = np.random.default_rng(12)
+    for i in range(240):
+        f, r = _smooth_family(rng, i)
+        lo, hi = r - rng.uniform(0.01, 3), r + rng.uniform(0.01, 3)
+        if i % 20 == 0:
+            lo = r  # f(lo) is exactly 0
+        if i % 20 == 10:
+            hi = r
+        g, calls = _counting(f)
+        ref, res = scipy.optimize.brentq(f, lo, hi, **tol)
+        assert thermo._root(g, lo, hi) == ref
+        assert len(calls) == res.function_calls
+    # [0, 1] misses the zero at 3.5 and widens twice, to [-4, 5]
+    def f(x):
+        return math.expm1(0.7 * (x - 3.5))
+
+    g, calls = _counting(f)
+    ref, res = scipy.optimize.brentq(f, -4.0, 5.0, **tol)
+    assert thermo._root(g, 0.0, 1.0) == ref
+    assert calls[:6] == [0.0, 1.0, -1.0, 2.0, -4.0, 5.0]
+    assert len(calls) == 4 + res.function_calls
+    with pytest.raises(thermo.ThermoError, match="bracketing"):
+        thermo._root(lambda x: 1.0 + x * x, 0.0, 1.0)
+
+
+def test_root_raises_thermo_error_on_nan():
+    def f(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    with pytest.raises(ValueError, match="NaN"):
+        scipy.optimize.brentq(f, 0.0, 1.0)
+    with pytest.raises(thermo.ThermoError, match="NaN"):
+        thermo._root(f, 0.0, 1.0)
+
+
+def test_root_raises_thermo_error_without_convergence():
+    def f(x):
+        return (x - 0.3) ** 3
+
+    with pytest.raises(RuntimeError, match="converge"):
+        scipy.optimize.brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    g, calls = _counting(f)
+    with pytest.raises(thermo.ThermoError, match="did not converge"):
+        thermo._root(g, 0.0, 1.0)
+    assert len(calls) == 102
