@@ -29,14 +29,6 @@ class AutomatonError(Exception):
     pass
 
 
-class UnsaturatedError(AutomatonError):
-    """Construction did not stabilize at the given cone radius."""
-
-    def __init__(self, message: str, radius: int):
-        super().__init__(message)
-        self.radius = radius
-
-
 class Level(NamedTuple):
     """The accepted words of one length, as arrays: word i is word
     ``parent[i]`` of the previous level followed by ``label[i]``, and its
@@ -56,7 +48,6 @@ class GeodesicAutomaton:
     transitions: tuple  # tuple over states of tuple[(label, target), ...]
     accepts_all_geodesics: bool
     shortlex_unique: bool
-    r_cone: int
     augmented: bool = False
     zero_state: Optional[int] = None
 
@@ -173,7 +164,7 @@ class GeodesicAutomaton:
 
     def to_json(self) -> str:
         doc = {
-            "schema": "geodesic-automaton/1",
+            "schema": "geodesic-automaton/2",
             "family": self.group.family,
             "generators": list(self.group.generator_names),
             "n_states": self.n_states,
@@ -183,7 +174,6 @@ class GeodesicAutomaton:
                 "shortlex_unique": self.shortlex_unique,
                 "augmented": self.augmented,
             },
-            "r_cone": self.r_cone,
             "zero_state": self.zero_state,
             "edges": [list(e) for e in self.edges()],
         }
@@ -192,7 +182,7 @@ class GeodesicAutomaton:
     @staticmethod
     def from_json(text: str, group: GroupPresentation) -> "GeodesicAutomaton":
         doc = json.loads(text)
-        if doc.get("schema") != "geodesic-automaton/1":
+        if doc.get("schema") != "geodesic-automaton/2":
             raise AutomatonError("unknown automaton schema")
         n = doc["n_states"]
         rows: list[list] = [[] for _ in range(n)]
@@ -205,7 +195,6 @@ class GeodesicAutomaton:
             transitions=tuple(tuple(sorted(r)) for r in rows),
             accepts_all_geodesics=doc["flags"]["accepts_all_geodesics"],
             shortlex_unique=doc["flags"]["shortlex_unique"],
-            r_cone=doc["r_cone"],
             augmented=doc["flags"]["augmented"],
             zero_state=doc["zero_state"],
         )
@@ -292,9 +281,7 @@ def _build_by_trie(group, shortlex: bool, state_cap: int) -> tuple[list[list], i
     words containing no forbidden gram.  A state is the longest suffix of
     the word read that is a proper prefix of a gram (every letter is one,
     so a state keeps the last letter); an edge is rejected when a gram ends
-    at its letter.  The language, so the minimized automaton, does not
-    depend on the cone radius, and the trie bounds the state count before
-    the search."""
+    at its letter.  The trie bounds the state count before the search."""
     grams = _forbidden_grams(group, shortlex)
     prefixes = {g[:i] for g in grams for i in range(len(g))}
     if len(prefixes) > state_cap:
@@ -316,13 +303,8 @@ def _build_by_trie(group, shortlex: bool, state_cap: int) -> tuple[list[list], i
 
 
 def _build(
-    presentation: GroupPresentation,
-    r_cone: int,
-    shortlex: bool,
-    state_cap: int,
+    presentation: GroupPresentation, shortlex: bool, state_cap: int
 ) -> GeodesicAutomaton:
-    if r_cone < 1:
-        raise AutomatonError("r_cone must be >= 1")
     rows, initial = _minimize(*_build_by_trie(presentation, shortlex, state_cap))
     return GeodesicAutomaton(
         group=presentation,
@@ -331,20 +313,22 @@ def _build(
         transitions=tuple(tuple(sorted(r)) for r in rows),
         accepts_all_geodesics=not shortlex,
         shortlex_unique=shortlex,
-        r_cone=r_cone,
     )
 
 
 def build_geodesic_acceptor(
-    presentation: GroupPresentation, r_cone: int, state_cap: int = 20000
+    presentation: GroupPresentation, state_cap: int = 20000
 ) -> GeodesicAutomaton:
-    return _build(presentation, r_cone, shortlex=False, state_cap=state_cap)
+    return _build(presentation, shortlex=False, state_cap=state_cap)
 
 
 def build_shortlex_acceptor(
-    presentation: GroupPresentation, r_cone: int, state_cap: int = 20000
+    presentation: GroupPresentation, r_cone=None, state_cap: int = 20000
 ) -> GeodesicAutomaton:
-    return _build(presentation, r_cone, shortlex=True, state_cap=state_cap)
+    """The shortlex acceptor.  ``r_cone`` is ignored: no construction reads
+    a cone radius, and the parameter stays only so that callers written
+    as ``build_shortlex_acceptor(group, 1)`` keep working."""
+    return _build(presentation, shortlex=True, state_cap=state_cap)
 
 
 def augment(aut: GeodesicAutomaton) -> GeodesicAutomaton:
@@ -418,27 +402,9 @@ def validate_bijection(aut: GeodesicAutomaton, n_max: int) -> BijectionReport:
 
 
 def saturate(
-    presentation: GroupPresentation,
-    radii: Sequence[int] = (1, 2, 3, 4),
-    n_validate: int = 6,
-    shortlex: bool = True,
-    state_cap: int = 20000,
-) -> tuple[GeodesicAutomaton, dict]:
-    """Sweep cone radii until the state count stabilizes between two
-    consecutive radii and the bijection validates; returns the automaton
-    at the smaller radius plus a sweep report."""
-    build = build_shortlex_acceptor if shortlex else build_geodesic_acceptor
-    history = []
-    prev: Optional[GeodesicAutomaton] = None
-    for r in radii:
-        aut = build(presentation, r, state_cap)
-        history.append({"r_cone": r, "n_states": aut.n_states})
-        if prev is not None and prev.n_states == aut.n_states:
-            report = validate_bijection(prev, n_validate)
-            if report.ok:
-                return prev, {"history": history, "validated_to": n_validate}
-        prev = aut
-    raise UnsaturatedError(
-        f"no saturation in radii {list(radii)}; history {history}",
-        radii[-1],
-    )
+    presentation: GroupPresentation, n_validate: int
+) -> tuple[GeodesicAutomaton, BijectionReport]:
+    """The shortlex acceptor and its bijection check to length n_validate;
+    a failed check is reported, not raised."""
+    aut = build_shortlex_acceptor(presentation)
+    return aut, validate_bijection(aut, n_validate)

@@ -8,12 +8,19 @@ One ``Run`` per invocation holds what the stages share, so ``report``
 builds the group, automaton and metrics once and solves each growth rate
 and arithmeticity once.
 
+The automaton is the shortlex acceptor, built once and checked once
+against the word problem (``automaton.saturate``).  A passing check is
+cached with the automaton under ``<out>/cache/``, so a warm run does no
+Dehn enumeration: it recounts the cached acceptor's words and compares
+them with the stored sphere sizes.
+
 Exit codes: 0 ok, 2 invalid configuration or failed validation,
-3 unsaturated automaton, 4 resource cap exceeded, 5 numeric failure.
+4 resource cap exceeded, 5 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,8 +34,7 @@ import numpy as np
 
 from . import __version__
 from .automaton import (AutomatonError, BijectionReport, GeodesicAutomaton,
-                        UnsaturatedError, build_shortlex_acceptor, saturate,
-                        validate_bijection)
+                        saturate)
 from .counting import (CountingError, correlate, count_ball, error_term_fit,
                        fit_asymptotic)
 from .groups import (FreeGroup, GroupError, GroupPresentation, ResourceCapError,
@@ -45,14 +51,13 @@ from .thermo import (CylinderPotential, ThermoError, TransferOperator,
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_UNSATURATED = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERIC = 5
 
 DEFAULT_CONFIG = {
     "group": {"family": "free", "rank": 2},
     "metrics": [{"kind": "word"}],
-    "automaton": {"r_cone": None, "radii": [1, 2, 3, 4], "n_validate": 6},
+    "automaton": {"n_validate": 6},
     "thermo": {"depth": 4},
     "counting": {"n_max": 8, "eps": 0.5},
     "scan": {"t_min": 0.1, "t_max": 10.0, "points": 40},
@@ -63,7 +68,6 @@ DEFAULT_CONFIG = {
 # command-line flags: (name, type, config section, key, help)
 FLAGS = [
     ("depth", int, "thermo", "depth", "potential depth"),
-    ("rcone", int, "automaton", "r_cone", "cone radius"),
     ("nmax", int, "counting", "n_max", "counting radius"),
     ("eps", float, "counting", "eps", "correlation band"),
 ]
@@ -83,6 +87,16 @@ def _field(spec, key: str, kind, default=None):
         return kind(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad or missing {key!r} in {spec!r}: {exc}") from None
+
+
+def _integer(value) -> int:
+    """A JSON integer or an integral float; anything else, booleans
+    included, is a ValueError rather than a truncated number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _strings(value) -> list:
@@ -142,9 +156,9 @@ def config_hash(cfg: dict) -> str:
 def build_group(spec: dict) -> GroupPresentation:
     family = _field(spec, "family", str)
     if family == "free":
-        return FreeGroup(_field(spec, "rank", int, 2))
+        return FreeGroup(_field(spec, "rank", _integer, 2))
     if family == "surface":
-        return surface_group(_field(spec, "genus", int, 2))
+        return surface_group(_field(spec, "genus", _integer, 2))
     if family == "small_cancellation":
         return SmallCancellationGroup(
             _field(spec, "generators", _strings), _field(spec, "relators", _strings)
@@ -169,8 +183,8 @@ def build_metric(group: GroupPresentation, spec: dict) -> MetricModel:
     if kind == "green_numeric":
         return GreenNumeric(
             group,
-            absorbing_radius=_field(spec, "absorbing_radius", int, 30),
-            safety_margin=_field(spec, "safety_margin", int, 10),
+            absorbing_radius=_field(spec, "absorbing_radius", _integer, 30),
+            safety_margin=_field(spec, "safety_margin", _integer, 10),
         )
     if kind == "fuchsian_orbit":
         return FuchsianOrbit(group)
@@ -203,18 +217,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 class Run:
     """One CLI invocation: the config, its hash and output directory, and
-    what the stages share.  The group, the automaton with its build record
-    and bijection check, the metrics, one potential per metric, the main
-    component, and each metric's growth rate and arithmeticity are built at
-    most once, on first use: the automaton stage builds no metric, and
-    report solves nothing twice."""
+    what the stages share.  The group, the automaton with its bijection
+    report, the metrics, one potential per metric, the main component, and
+    each metric's growth rate and arithmeticity are built at most once, on
+    first use: the automaton stage builds no metric, and report solves
+    nothing twice."""
 
     def __init__(self, cfg: dict, out_dir: str):
         self.cfg, self.out_dir, self.cfg_hash = cfg, out_dir, config_hash(cfg)
         self.payloads: dict[str, dict] = {}  # emitted JSON by file name, no header
         self._solved: dict = {}
 
-    def setting(self, section: str, key: str, kind=int):
+    def setting(self, section: str, key: str, kind=_integer):
         """A config scalar converted by kind, or a ConfigError."""
         return _field(self.cfg[section], key, kind)
 
@@ -236,17 +250,12 @@ class Run:
         return build_group(self.cfg["group"])
 
     @cached_property
-    def built(self) -> tuple[GeodesicAutomaton, dict]:
+    def built(self) -> tuple[GeodesicAutomaton, BijectionReport]:
         return get_automaton(self)
 
     @property
     def automaton(self) -> GeodesicAutomaton:
         return self.built[0]
-
-    @cached_property
-    def bijection(self) -> BijectionReport:
-        n_validate = self.setting("automaton", "n_validate")
-        return validate_bijection(self.automaton, n_validate)
 
     @cached_property
     def metrics(self) -> list[MetricModel]:
@@ -276,7 +285,7 @@ class Run:
         return self._solved[solve, i]
 
 
-AUTOMATON_CACHE = "automaton-cache/2"  # in the cache key; bump on a format change
+AUTOMATON_CACHE = "automaton-cache/3"  # in the cache key; bump on a format change
 
 
 def _automaton_digest(doc: dict) -> str:
@@ -284,70 +293,49 @@ def _automaton_digest(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def get_automaton(run: Run) -> tuple[GeodesicAutomaton, dict]:
-    """Build (or load from the on-disk cache) the shortlex acceptor for the
-    run's group and the record of its build; the cache key hashes the
-    cache format and the group and automaton specs.  An entry keeps the
-    record under "build", so a warm run reports the cold run's build, and
-    the sha256 of the automaton JSON under "sha256".  An entry that fails
-    to parse or load, or lacks either field or does not match its sha256,
-    is a cache miss: rebuilt and overwritten, with one line on stderr."""
-    cfg = run.cfg
-    spec = {"group": cfg["group"], "automaton": cfg["automaton"]}
-    key = config_hash({"cache": AUTOMATON_CACHE, **spec})
+def get_automaton(run: Run) -> tuple[GeodesicAutomaton, BijectionReport]:
+    """The shortlex acceptor for the run's group and its bijection report,
+    from the on-disk cache or from ``saturate``.  The cache key hashes the
+    cache format, the package version, the group spec and n_validate.  An
+    entry is the automaton JSON plus the passing report under "bijection"
+    and one sha256 over both under "sha256"; a failed check is not cached.
+    A loaded entry must also recount: its acceptor's words of each length
+    up to n_validate must match the stored counts and sphere sizes.  An
+    entry that fails to parse or load, or fails either check, is a cache
+    miss: rebuilt and overwritten, with one line on stderr."""
+    n_validate = run.setting("automaton", "n_validate")
+    key = config_hash({"cache": AUTOMATON_CACHE, "version": __version__,
+                       "group": run.cfg["group"], "n_validate": n_validate})
     cache_path = os.path.join(run.out_dir, "cache", f"automaton-{key}.json")
     if os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:
                 doc = json.load(fh)
-            build, digest = doc.pop("build", None), doc.pop("sha256", None)
-            if build is not None and digest == _automaton_digest(doc):
-                return GeodesicAutomaton.from_json(json.dumps(doc), run.group), build
+            digest = doc.pop("sha256", None)
+            if digest == _automaton_digest(doc):
+                report = BijectionReport(**doc.pop("bijection"))
+                aut = GeodesicAutomaton.from_json(json.dumps(doc), run.group)
+                counts = aut.accepted_counts(n_validate)
+                if report.ok and counts == report.accepted_counts == report.sphere_sizes:
+                    return aut, report
         except (AttributeError, AutomatonError, LookupError, TypeError, ValueError):
             pass
         print(f"automaton cache entry {cache_path} failed its check; rebuilding",
               file=sys.stderr)
-    r_cone = run.setting("automaton", "r_cone", lambda r: r if r is None else int(r))
-    if r_cone is not None:
-        aut = build_shortlex_acceptor(run.group, r_cone)
-        probe = build_shortlex_acceptor(run.group, r_cone + 1)
-        if probe.n_states != aut.n_states:
-            raise UnsaturatedError(
-                f"state count still moving at r_cone={r_cone}: "
-                f"{aut.n_states} -> {probe.n_states}",
-                r_cone,
-            )
-        info = {"r_cone": r_cone}
-    else:
-        aut, info = saturate(
-            run.group,
-            radii=run.setting("automaton", "radii", lambda rs: tuple(map(int, rs))),
-            n_validate=run.setting("automaton", "n_validate"),
-        )
-    entry = json.loads(aut.to_json())
-    entry["sha256"] = _automaton_digest(entry)
-    entry["build"] = info
-    _atomic_write(cache_path, json.dumps(entry, indent=1, sort_keys=True))
-    return aut, info
+    aut, report = saturate(run.group, n_validate)
+    if report.ok:
+        entry = {**json.loads(aut.to_json()), "bijection": dataclasses.asdict(report)}
+        entry["sha256"] = _automaton_digest(entry)
+        _atomic_write(cache_path, json.dumps(entry, indent=1, sort_keys=True))
+    return aut, report
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_automaton(run: Run) -> int:
-    aut, info = run.built
-    report = run.bijection
+    aut, report = run.built
     run.emit_json("automaton.json", json.loads(aut.to_json()))
-    run.emit_json(
-        "bijection.json",
-        {
-            "ok": report.ok,
-            "n_max": report.n_max,
-            "accepted_counts": report.accepted_counts,
-            "sphere_sizes": report.sphere_sizes,
-            "first_failure": report.first_failure,
-            "build": info,
-        },
-    )
+    run.emit_json("bijection.json", dataclasses.asdict(report))
     if not report.ok:
         print("bijection validation failed", file=sys.stderr)
         return EXIT_VALIDATION
@@ -469,10 +457,8 @@ def cmd_scan(run: Run) -> int:
 
 def cmd_count(run: Run) -> int:
     v = run.growth_rate(0)
-    # saturate records its validation; a pinned r_cone is validated here
-    validated_to = run.built[1].get("validated_to")
-    if validated_to is None and run.bijection.ok:
-        validated_to = run.bijection.n_max
+    bijection = run.built[1]
+    validated_to = bijection.n_max if bijection.ok else None
     report = count_ball(
         run.metrics[0],
         run.setting("counting", "n_max"),
@@ -602,9 +588,6 @@ def main(argv: Optional[list] = None) -> int:
         run = Run(load_config(args.config, args), args.out)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](run)
-    except UnsaturatedError as exc:
-        print(f"unsaturated: {exc}", file=sys.stderr)
-        return EXIT_UNSATURATED
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -53,7 +53,7 @@ def _acceptor(group, automaton: Optional[GeodesicAutomaton]):
     ``sphere_words``: the given one, else a free group's own."""
     if automaton is None:
         free = isinstance(group, FreeGroup)
-        return build_shortlex_acceptor(group, 1) if free else None
+        return build_shortlex_acceptor(group) if free else None
     if automaton.group is not group or not automaton.shortlex_unique:
         raise CountingError("balls are walked on a shortlex acceptor of the group")
     return automaton

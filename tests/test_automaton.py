@@ -78,7 +78,7 @@ def test_surface_acceptor_validates(genus2_aut):
 
 
 def test_surface_geodesic_acceptor_counts_all_geodesics(genus2):
-    acceptor = automaton.build_geodesic_acceptor(genus2, 2)
+    acceptor = automaton.build_geodesic_acceptor(genus2)
     counts = acceptor.accepted_counts(4)
     # several geodesic spellings per element once relator halves interact
     assert counts[:4] == [1, 8, 56, 392]
@@ -88,7 +88,8 @@ def test_surface_geodesic_acceptor_counts_all_geodesics(genus2):
 def test_json_round_trip(free2_aut, free2):
     text = free2_aut.to_json()
     doc = json.loads(text)
-    assert doc["schema"] == "geodesic-automaton/1"
+    assert doc["schema"] == "geodesic-automaton/2"
+    assert "r_cone" not in doc
     back = automaton.GeodesicAutomaton.from_json(text, free2)
     assert back.transitions == free2_aut.transitions
     assert back.to_json() == text
@@ -109,15 +110,20 @@ def test_augmentation_adds_absorbing_state(free2_aut):
     assert caught and "already augmented" in str(caught[0].message)
 
 
-def test_saturation_sweep_returns_stable_radius(free2):
-    aut, info = automaton.saturate(free2, radii=(1, 2), n_validate=4)
+def test_saturation_sweep_returns_stable_radius(free2, monkeypatch):
+    # one build and one validation, whose report comes back with the acceptor
+    calls = []
+    for name in ("build_shortlex_acceptor", "validate_bijection"):
+        fn = getattr(automaton, name)
+        monkeypatch.setattr(
+            automaton, name,
+            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args),
+        )
+    aut, report = automaton.saturate(free2, n_validate=4)
     assert aut.n_states == 5
-    assert info["validated_to"] == 4
-
-
-def test_saturation_failure_raises(free2):
-    with pytest.raises(automaton.UnsaturatedError):
-        automaton.saturate(free2, radii=(1,))
+    assert calls == ["build_shortlex_acceptor", "validate_bijection"]
+    assert (report.ok, report.n_max) == (True, 4)
+    assert report.accepted_counts == [1, 4, 12, 36, 108]
 
 
 def test_schottky_acceptor_matches_free_structure(schottky_aut):
@@ -136,27 +142,21 @@ def test_state_cap_is_enforced(genus2, monkeypatch):
         automaton.build_shortlex_acceptor(genus2, 2, state_cap=3)
 
 
-# sha256 prefixes of the canonical automaton JSON (the digest of a CLI
-# cache entry), pinned from the suffix-window search: the trie must build
-# the same minimized automata
-GENUS2_DIGESTS = {
-    (True, 1): "322d8271c87539e0",
-    (True, 2): "7b7e972fe0ac58a5",
-    (False, 1): "d8c37b0abeb8fe43",
-    (False, 2): "f053d60b63407b48",
-}
+# sha256 prefixes of the canonical automaton JSON, one per flag, pinned
+# from the suffix-window search: the trie must build the same minimized
+# automata
+GENUS2_DIGESTS = {True: "021db7ac3378e68e", False: "2994c984a4cb679d"}
 
 
-@pytest.mark.parametrize("shortlex,r_cone", sorted(GENUS2_DIGESTS))
+@pytest.mark.parametrize("shortlex,r_cone", [(s, r) for s in (False, True) for r in (1, 2)])
 def test_genus2_acceptors_are_pinned(genus2, shortlex, r_cone):
-    build = (automaton.build_shortlex_acceptor if shortlex
-             else automaton.build_geodesic_acceptor)
-    aut = build(genus2, r_cone)
+    # r_cone is the radius older callers pass: the shortlex builder takes
+    # and ignores it, the geodesic builder takes none
+    aut = (automaton.build_shortlex_acceptor(genus2, r_cone) if shortlex
+           else automaton.build_geodesic_acceptor(genus2))
     assert aut.n_states == (31 if shortlex else 57)
     digest = cli._automaton_digest(json.loads(aut.to_json()))
-    assert digest.startswith(GENUS2_DIGESTS[shortlex, r_cone])
-    for r in (1, 2, 3):
-        assert build(genus2, r).transitions == aut.transitions
+    assert digest.startswith(GENUS2_DIGESTS[shortlex])
 
 
 def test_trie_size_does_not_depend_on_the_cone_radius(genus2, monkeypatch):

@@ -1,0 +1,38 @@
+"""The benchmark traces library functions by name; every name it lists
+must still resolve, or its metrics silently drop out of the results."""
+import importlib
+import importlib.util
+import os
+import sys
+
+from cannonlab import automaton, groups
+
+SPANS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py"
+)
+
+
+def _spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    spans = _spans(monkeypatch)
+    missing = [
+        f"{module}.{attr}" for module, attr in spans.WRAPPED
+        if not callable(getattr(importlib.import_module(f"cannonlab.{module}"), attr, None))
+    ]
+    missing += [
+        f"{module}.{cls}.{attr}" for module, cls, attr in spans.WRAPPED_METHODS
+        if attr not in vars(getattr(importlib.import_module(f"cannonlab.{module}"), cls))
+    ]
+    assert missing == []
+
+
+def test_the_benchmark_acceptor_call_still_works():
+    aut = automaton.build_shortlex_acceptor(groups.FreeGroup(2), 1)
+    assert (aut.n_states, aut.shortlex_unique) == (5, True)

@@ -1,4 +1,5 @@
 """End-to-end runs of the command-line pipeline in temporary directories."""
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from cannonlab import cli, thermo
+from cannonlab import automaton, cli, groups, thermo
 
 
 def write_config(tmp_path, cfg):
@@ -92,26 +93,26 @@ def test_genus3_report_through_the_trie_acceptor(tmp_path):
 
 
 def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch):
-    # a pinned cone radius records no validation in the build: count
-    # validates the acceptor itself, and walks it only if that passes
+    # count walks the acceptor only if the run's bijection check passed
     cfg = write_config(
-        tmp_path,
-        {"automaton": {"r_cone": 1, "n_validate": 5}, "counting": {"n_max": 6}},
+        tmp_path, {"automaton": {"n_validate": 5}, "counting": {"n_max": 6}}
     )
     code, out = run(tmp_path, "count", "--config", cfg)
     assert code == 0
     with open(os.path.join(out, "count.json")) as fh:
         doc = json.load(fh)
     assert (doc["enumerator"], doc["validated_to"]) == ("acceptor", 5)
-    failed = cli.validate_bijection(cli.build_shortlex_acceptor(cli.FreeGroup(2), 1), 1)
-    failed.ok = False
-    monkeypatch.setattr(cli, "validate_bijection", lambda *args: failed)
+    validate = automaton.validate_bijection
+    monkeypatch.setattr(
+        automaton, "validate_bijection",
+        lambda *args: dataclasses.replace(validate(*args), ok=False),
+    )
     given, count_ball = [], cli.count_ball
     monkeypatch.setattr(
         cli, "count_ball",
         lambda *args, **kwargs: given.append(kwargs["automaton"]) or count_ball(*args, **kwargs),
     )
-    code, out = run(tmp_path, "count", "--config", cfg)
+    code, out = run(tmp_path / "failed", "count", "--config", cfg)
     assert code == 0
     assert given == [None]
     with open(os.path.join(out, "count.json")) as fh:
@@ -144,21 +145,26 @@ def test_reruns_are_byte_identical(tmp_path, free_pair_cfg):
 
 def test_cache_entry_without_build_record_is_rebuilt(tmp_path, free_pair_cfg):
     _, out = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    with open(os.path.join(out, "bijection.json")) as fh:
+        cold = fh.read()
     cache_dir = os.path.join(out, "cache")
     (entry,) = os.listdir(cache_dir)
     path = os.path.join(cache_dir, entry)
     with open(path) as fh:
-        doc = json.load(fh)
-    build = doc.pop("build")
-    assert "history" in build
+        good = fh.read()
+    doc = json.loads(good)
+    record = doc.pop("bijection")
+    assert record == {k: v for k, v in json.loads(cold).items() if k != "header"}
+    doc.pop("sha256")
+    doc["sha256"] = cli._automaton_digest(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh)  # the older format: a bare automaton
+        json.dump(doc, fh)  # a bare automaton with its own digest
     code, _ = run(tmp_path, "automaton", "--config", free_pair_cfg)
     assert code == 0
     with open(os.path.join(out, "bijection.json")) as fh:
-        assert json.load(fh)["build"] == build
+        assert fh.read() == cold
     with open(path) as fh:
-        assert json.load(fh)["build"] == build
+        assert fh.read() == good
 
 
 def test_automaton_cache_is_reused(tmp_path, free_pair_cfg):
@@ -176,7 +182,7 @@ def test_automaton_cache_is_reused(tmp_path, free_pair_cfg):
     "damage",
     [
         lambda text: text[: len(text) // 2],  # truncated JSON
-        lambda text: text.replace("geodesic-automaton/1", "geodesic-automaton/0"),
+        lambda text: text.replace("geodesic-automaton/2", "geodesic-automaton/0"),
         lambda text: json.dumps({"build": {}, "edges": "none"}),
         lambda text: "[]",
     ],
@@ -222,6 +228,99 @@ def test_cache_entry_with_a_deleted_edge_is_rebuilt(tmp_path, free_pair_cfg, log
     assert len(capsys.readouterr().err.splitlines()) == 1
     with open(path) as fh:
         assert fh.read() == good
+
+
+def test_cache_entry_that_does_not_recount_is_rebuilt(tmp_path, free_pair_cfg, capsys):
+    _, out = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    cache_dir = os.path.join(out, "cache")
+    (entry,) = os.listdir(cache_dir)
+    path = os.path.join(cache_dir, entry)
+    with open(path) as fh:
+        good = fh.read()
+    doc = json.loads(good)
+    doc["bijection"]["sphere_sizes"][-1] += 1
+    doc.pop("sha256")
+    doc["sha256"] = cli._automaton_digest(doc)  # only the recount can tell
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+    capsys.readouterr()
+    code, _ = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    assert code == 0
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    with open(path) as fh:
+        assert fh.read() == good
+
+
+def test_cache_key_holds_the_package_version(tmp_path, free_pair_cfg, monkeypatch):
+    _, out = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    cache_dir = os.path.join(out, "cache")
+    (old,) = os.listdir(cache_dir)
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    builds = counted(monkeypatch, "saturate")
+    code, _ = run(tmp_path, "automaton", "--config", free_pair_cfg)
+    assert code == 0
+    assert len(builds) == 1
+    assert len(os.listdir(cache_dir)) == 2 and old in os.listdir(cache_dir)
+
+
+def test_warm_report_does_no_dehn_work(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        {
+            "group": {"family": "surface", "genus": 2},
+            "automaton": {"n_validate": 4},
+            "counting": {"n_max": 4},
+        },
+    )
+    validations = counted(monkeypatch, "validate_bijection", automaton)
+    spheres, sphere_words = [], groups.GroupPresentation.sphere_words
+    monkeypatch.setattr(
+        groups.GroupPresentation, "sphere_words",
+        lambda *args, **kwargs: spheres.append(args[1]) or sphere_words(*args, **kwargs),
+    )
+    code, out = run(tmp_path, "report", "--config", cfg)
+    assert code == 0
+    assert len(validations) == 1
+    cold = artifacts(out)
+    del validations[:], spheres[:]
+    code, _ = run(tmp_path, "report", "--config", cfg)
+    assert code == 0
+    assert (validations, spheres) == ([], [])
+    assert artifacts(out) == cold
+
+
+def test_failed_validation_exits_2_and_is_not_cached(tmp_path, monkeypatch):
+    # the geodesic grams under the shortlex flag: more words than elements
+    real = automaton._forbidden_grams
+    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: real(g, False))
+    cfg = write_config(
+        tmp_path,
+        {"group": {"family": "surface", "genus": 2}, "automaton": {"n_validate": 4}},
+    )
+    code, out = run(tmp_path, "automaton", "--config", cfg)
+    assert code == 2
+    with open(os.path.join(out, "bijection.json")) as fh:
+        doc = json.load(fh)
+    assert doc["ok"] is False
+    assert doc["first_failure"] == {
+        "kind": "count_mismatch", "length": 4, "accepted": 2744, "expected": 2736,
+    }
+    assert not os.path.exists(os.path.join(out, "cache"))
+
+
+def test_retired_automaton_keys_are_ignored(tmp_path):
+    payloads = []
+    for name, spec in [("plain", {}), ("retired", {"r_cone": 2, "radii": [1]})]:
+        cfg = write_config(tmp_path, {"automaton": spec})
+        code, out = run(tmp_path / name, "automaton", "--config", cfg)
+        assert code == 0
+        docs = {}
+        for artifact in ("automaton.json", "bijection.json"):
+            with open(os.path.join(out, artifact)) as fh:
+                docs[artifact] = json.load(fh)
+            docs[artifact].pop("header")
+        payloads.append(docs)
+    assert payloads[0] == payloads[1]
 
 
 def test_artifacts_carry_config_hash(tmp_path, free_pair_cfg):
@@ -280,6 +379,34 @@ def test_malformed_config_exits_2(tmp_path, cfg, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+INTEGER_FIELDS = {
+    "n_validate": lambda v: {"automaton": {"n_validate": v}},
+    "n_max": lambda v: {"counting": {"n_max": v}},
+    "depth": lambda v: {"thermo": {"depth": v}},
+    "absorbing_radius": lambda v: {
+        "metrics": [{"kind": "green_numeric", "absorbing_radius": v}]
+    },
+}
+
+
+@pytest.mark.parametrize("value", [4.7, True, "4"], ids=["fractional", "boolean", "string"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_field_rejects_a_non_integer(tmp_path, field, value, capsys):
+    cfg = write_config(tmp_path, INTEGER_FIELDS[field](value))
+    code, _ = run(tmp_path, "report", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and field in err
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    cfg = write_config(tmp_path, {"counting": {"n_max": 5.0}})
+    code, out = run(tmp_path, "count", "--config", cfg)
+    assert code == 0
+    with open(os.path.join(out, "count.json")) as fh:
+        assert json.load(fh)["n_max"] == 5
+
+
 def test_programming_error_in_a_stage_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
@@ -289,10 +416,10 @@ def test_programming_error_in_a_stage_propagates(tmp_path, monkeypatch):
         run(tmp_path, "count")
 
 
-def counted(monkeypatch, name):
-    """The calls of the library function that cli binds to name, under every
-    cannonlab module's binding of it."""
-    original, calls = getattr(cli, name), []
+def counted(monkeypatch, name, owner=cli):
+    """The calls of the library function that owner (cli by default) binds
+    to name, under every cannonlab module's binding of it."""
+    original, calls = getattr(owner, name), []
 
     def counter(*args, **kwargs):
         calls.append(args)
@@ -333,12 +460,6 @@ def test_report_builds_and_solves_each_shared_input_once(tmp_path, monkeypatch):
     # growth rates, cross-checks and orbit sums of two potentials, the
     # Manhattan pair and the normalized pair of the correlation exponent
     assert len(compiles) <= 8
-
-
-def test_unsaturated_radii_exit_3(tmp_path):
-    cfg = write_config(tmp_path, {"automaton": {"radii": [1]}})
-    code, _ = run(tmp_path, "automaton", "--config", cfg)
-    assert code == 3
 
 
 def test_resource_cap_exits_4(tmp_path):

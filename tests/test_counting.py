@@ -316,7 +316,7 @@ def test_genus2_ball_through_the_acceptor_equals_sphere_words(genus2, genus2_aut
 
 
 def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(genus2, free2_aut):
-    geodesic = automaton.build_geodesic_acceptor(genus2, 1)
+    geodesic = automaton.build_geodesic_acceptor(genus2)
     with pytest.raises(counting.CountingError):
         counting.count_ball(metrics.WordMetric(genus2), 3, automaton=geodesic)
     other_free2 = groups.FreeGroup(2)
