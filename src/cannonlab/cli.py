@@ -12,7 +12,9 @@ The automaton is the shortlex acceptor, built once and checked once
 against the word problem (``automaton.saturate``).  A passing check is
 cached with the automaton under ``<out>/cache/``, so a warm run does no
 Dehn enumeration: it recounts the cached acceptor's words and compares
-them with the stored sphere sizes.
+them with the stored sphere sizes.  Every stage but ``automaton`` reads
+the acceptor through ``Run.automaton``, which refuses one that failed its
+check.
 
 Exit codes: 0 ok, 2 invalid configuration or failed validation,
 4 resource cap exceeded, 5 numeric failure.
@@ -255,7 +257,12 @@ class Run:
 
     @property
     def automaton(self) -> GeodesicAutomaton:
-        return self.built[0]
+        """The validated acceptor.  A failed bijection check raises
+        AutomatonError (exit 2), so no stage computes on it."""
+        aut, report = self.built
+        if not report.ok:
+            raise AutomatonError(f"bijection check failed: {report.first_failure}")
+        return aut
 
     @cached_property
     def metrics(self) -> list[MetricModel]:
@@ -457,16 +464,12 @@ def cmd_scan(run: Run) -> int:
 
 def cmd_count(run: Run) -> int:
     v = run.growth_rate(0)
-    bijection = run.built[1]
-    validated_to = bijection.n_max if bijection.ok else None
     report = count_ball(
-        run.metrics[0],
-        run.setting("counting", "n_max"),
-        automaton=None if validated_to is None else run.automaton,
+        run.metrics[0], run.setting("counting", "n_max"), automaton=run.automaton
     )
     fit = fit_asymptotic(report, delta_hint=v)
     payload = json.loads(report.to_json())
-    payload["validated_to"] = validated_to
+    payload["validated_to"] = run.built[1].n_max
     payload["fit"]["residual_series_points"] = len(fit.t_grid)
     if not fit.oscillation:
         kappa = error_term_fit(report, fit.c, fit.delta)

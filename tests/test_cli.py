@@ -93,7 +93,7 @@ def test_genus3_report_through_the_trie_acceptor(tmp_path):
 
 
 def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch):
-    # count walks the acceptor only if the run's bijection check passed
+    # count walks the validated acceptor, and refuses one whose check failed
     cfg = write_config(
         tmp_path, {"automaton": {"n_validate": 5}, "counting": {"n_max": 6}}
     )
@@ -107,18 +107,10 @@ def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch
         automaton, "validate_bijection",
         lambda *args: dataclasses.replace(validate(*args), ok=False),
     )
-    given, count_ball = [], cli.count_ball
-    monkeypatch.setattr(
-        cli, "count_ball",
-        lambda *args, **kwargs: given.append(kwargs["automaton"]) or count_ball(*args, **kwargs),
-    )
+    monkeypatch.setattr(cli, "count_ball", None)  # never reached
     code, out = run(tmp_path / "failed", "count", "--config", cfg)
-    assert code == 0
-    assert given == [None]
-    with open(os.path.join(out, "count.json")) as fh:
-        doc = json.load(fh)
-    assert doc["validated_to"] is None
-    assert doc["sphere_sizes"] == [1] + [4 * 3 ** (n - 1) for n in range(1, 7)]
+    assert code == 2
+    assert not os.path.exists(os.path.join(out, "count.json"))
 
 
 def artifacts(out):
@@ -306,6 +298,22 @@ def test_failed_validation_exits_2_and_is_not_cached(tmp_path, monkeypatch):
         "kind": "count_mismatch", "length": 4, "accepted": 2744, "expected": 2736,
     }
     assert not os.path.exists(os.path.join(out, "cache"))
+
+
+@pytest.mark.parametrize("command", ["growth", "count", "report"])
+def test_no_stage_runs_on_a_failed_acceptor(tmp_path, monkeypatch, command):
+    # under the geodesic grams genus 2 has growth 1.945..., not its own
+    real = automaton._forbidden_grams
+    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: real(g, False))
+    cfg = write_config(
+        tmp_path,
+        {"group": {"family": "surface", "genus": 2}, "automaton": {"n_validate": 4}},
+    )
+    code, out = run(tmp_path, command, "--config", cfg)
+    assert code == 2
+    written = set(os.listdir(out))
+    expected = {"automaton.json", "bijection.json"} if command == "report" else set()
+    assert written == expected
 
 
 def test_retired_automaton_keys_are_ignored(tmp_path):
