@@ -363,12 +363,17 @@ class BijectionReport:
     first_failure: Optional[dict] = None
 
 
-def validate_bijection(aut: GeodesicAutomaton, n_max: int) -> BijectionReport:
+def validate_bijection(
+    aut: GeodesicAutomaton, n_max: int, cap: Optional[int] = None
+) -> BijectionReport:
     """Check that accepted words biject with group elements up to length
     n_max: per-length counts match brute-force sphere sizes and evaluated
-    elements are pairwise distinct."""
+    elements are pairwise distinct.  With a ``cap``, a ball of more than
+    cap accepted words raises ResourceCapError before any sphere is grown."""
     group = aut.group
     counts = aut.accepted_counts(n_max)
+    if cap is not None and sum(counts) > cap:
+        raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
     spheres = [len(group.sphere_words(n)) for n in range(n_max + 1)]
     for n, (c, s) in enumerate(zip(counts, spheres)):
         if c != s:
@@ -402,9 +407,10 @@ def validate_bijection(aut: GeodesicAutomaton, n_max: int) -> BijectionReport:
 
 
 def saturate(
-    presentation: GroupPresentation, n_validate: int
+    presentation: GroupPresentation, n_validate: int, cap: Optional[int] = None
 ) -> tuple[GeodesicAutomaton, BijectionReport]:
-    """The shortlex acceptor and its bijection check to length n_validate;
-    a failed check is reported, not raised."""
+    """The shortlex acceptor and its bijection check to length n_validate,
+    capped as in ``validate_bijection``; a failed check is reported, not
+    raised."""
     aut = build_shortlex_acceptor(presentation)
-    return aut, validate_bijection(aut, n_validate)
+    return aut, validate_bijection(aut, n_validate, cap)

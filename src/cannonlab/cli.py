@@ -14,7 +14,7 @@ cached with the automaton under ``<out>/cache/``, so a warm run does no
 Dehn enumeration: it recounts the cached acceptor's words and compares
 them with the stored sphere sizes.  Every stage but ``automaton`` reads
 the acceptor through ``Run.automaton``, which refuses one that failed its
-check.
+check; ``count`` and ``correlate`` enumerate their balls by walking it.
 
 Exit codes: 0 ok, 2 invalid configuration or failed validation,
 4 resource cap exceeded, 5 numeric failure.
@@ -87,16 +87,25 @@ def _field(spec, key: str, kind, default=None):
     try:
         value = spec[key] if default is None or key in spec else default
         return kind(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad or missing {key!r} in {spec!r}: {exc}") from None
 
 
-def _integer(value) -> int:
-    """A JSON integer or an integral float; anything else, booleans
-    included, is a ValueError rather than a truncated number."""
+def _real(value) -> float:
+    """A finite JSON number as a float.  NaN, infinities, booleans and
+    strings are a ValueError, an integer too large for a float is an
+    OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
+        not math.isfinite(value)
     ):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer or an integral float; anything else is a ValueError
+    rather than a truncated number."""
+    if not _real(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -108,7 +117,7 @@ def _strings(value) -> list:
 
 
 def _matrices(value) -> list:
-    mats = [np.array(m, dtype=float) for m in value]
+    mats = [np.array([[_real(x) for x in row] for row in m]) for m in value]
     if any(m.shape != (2, 2) for m in mats):
         raise ValueError("expected 2x2 matrices")
     return mats
@@ -145,7 +154,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
             cfg[section][key] = getattr(args, flag)
     if len(cfg["metrics"]) > 2:
         raise ConfigError("at most two metrics")
-    if _field(cfg["counting"], "eps", float) <= 0:
+    if _field(cfg["counting"], "eps", _real) <= 0:
         raise ConfigError("counting.eps must be positive")
     return cfg
 
@@ -169,7 +178,7 @@ def build_group(spec: dict) -> GroupPresentation:
         if "matrices" in spec:
             return SchottkyGroup(_field(spec, "matrices", _matrices))
         return standard_schottky(
-            _field(spec, "traces", lambda ts: tuple(map(float, ts)), (3.0, 5.0))
+            _field(spec, "traces", lambda ts: tuple(map(_real, ts)), (3.0, 5.0))
         )
     raise ConfigError(f"unknown group family: {family!r}")
 
@@ -179,7 +188,7 @@ def build_metric(group: GroupPresentation, spec: dict) -> MetricModel:
     if kind == "word":
         return WordMetric(group)
     if kind == "scaled_word":
-        return ScaledWordMetric(group, _field(spec, "factor", float))
+        return ScaledWordMetric(group, _field(spec, "factor", _real))
     if kind == "green_closed_form":
         return GreenClosedForm(group)
     if kind == "green_numeric":
@@ -191,7 +200,7 @@ def build_metric(group: GroupPresentation, spec: dict) -> MetricModel:
     if kind == "fuchsian_orbit":
         return FuchsianOrbit(group)
     if kind == "linear_combination":
-        terms = _field(spec, "terms", lambda ts: [(float(c), sub) for c, sub in ts])
+        terms = _field(spec, "terms", lambda ts: [(_real(c), sub) for c, sub in ts])
         return LinearCombination([(c, build_metric(group, sub)) for c, sub in terms])
     raise ConfigError(f"unknown metric kind: {kind!r}")
 
@@ -435,8 +444,8 @@ def cmd_manhattan(run: Run) -> int:
 def cmd_scan(run: Run) -> int:
     v = run.growth_rate(0)
     grid = np.linspace(
-        run.setting("scan", "t_min", float),
-        run.setting("scan", "t_max", float),
+        run.setting("scan", "t_min", _real),
+        run.setting("scan", "t_max", _real),
         run.setting("scan", "points"),
     )
     points = spectral_scan(
@@ -499,9 +508,10 @@ def cmd_correlate(run: Run) -> int:
     report = correlate(
         normalized[0],
         normalized[1],
-        run.setting("counting", "eps", float),
+        run.setting("counting", "eps", _real),
         run.setting("counting", "n_max"),
         alpha_thermo=ce.alpha,
+        automaton=run.automaton,
     )
     payload = json.loads(report.to_json())
     payload["correlation_exponent"] = {

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import GeodesicAutomaton, build_shortlex_acceptor
-from .groups import FreeGroup, ResourceCapError
+from .automaton import GeodesicAutomaton, build_shortlex_acceptor, saturate
+from .groups import FreeGroup
 from .metrics import MetricModel
 from .shift import Component, word_maximal_components
 from .thermo import CylinderPotential, TransferOperator
@@ -36,24 +36,26 @@ def sphere_distance_arrays(
     metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP,
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[np.ndarray]:
-    """Distances d(o,x) grouped by word length |x|_S = 0..n_max.
-
-    With a validated shortlex ``automaton`` of the metric's group, or on a
-    free group (whose shortlex acceptor, the reduced words, is exact), the
-    elements are the accepted words, walked level by level through the
-    metric's ``level_kernel``; on any other group they are the normal forms
-    of ``sphere_words``.  Either way each sphere is in shortlex order, so
-    arrays for metrics on the same group may be combined entrywise.
-    """
+    """Distances d(o,x) grouped by word length |x|_S = 0..n_max: the words
+    of the acceptor that ``_acceptor`` picks, walked level by level through
+    the metric's ``level_kernel``.  Each sphere is in shortlex order (that
+    of ``group.sphere_words``), so arrays for metrics on the same group may
+    be combined entrywise."""
     return _ball_arrays([metric], n_max, cap, automaton)[0]
 
 
-def _acceptor(group, automaton: Optional[GeodesicAutomaton]):
-    """The acceptor whose walk enumerates the group's balls, or None for
-    ``sphere_words``: the given one, else a free group's own."""
+def _acceptor(
+    group, automaton: Optional[GeodesicAutomaton], n_max: int, cap: int
+) -> GeodesicAutomaton:
+    """The acceptor whose walk enumerates the group's balls: the given one,
+    else a free group's own (the reduced words, which is exact), else the
+    shortlex acceptor checked against the word problem to length n_max."""
     if automaton is None:
-        free = isinstance(group, FreeGroup)
-        return build_shortlex_acceptor(group) if free else None
+        if isinstance(group, FreeGroup):
+            return build_shortlex_acceptor(group)
+        automaton, report = saturate(group, n_max, cap)
+        if not report.ok:
+            raise CountingError(f"bijection check failed: {report.first_failure}")
     if automaton.group is not group or not automaton.shortlex_unique:
         raise CountingError("balls are walked on a shortlex acceptor of the group")
     return automaton
@@ -64,29 +66,13 @@ def _ball_arrays(
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[list[np.ndarray]]:
     """sphere_distance_arrays for several metrics on one group, from one
-    enumeration of the ball."""
-    group = metrics[0].group
+    walk of the ball."""
+    automaton = _acceptor(metrics[0].group, automaton, n_max, cap)
+    kernels = [m.level_kernel() for m in metrics]
     out: list[list[np.ndarray]] = [[] for _ in metrics]
-    automaton = _acceptor(group, automaton)
-    if automaton is not None:
-        kernels = [m.level_kernel() for m in metrics]
-        for level in automaton.walk(n_max, cap=cap):
-            for arrays, kernel in zip(out, kernels):
-                arrays.append(kernel(level))
-        return out
-    # no coding at hand: enumerate normal forms and evaluate one by one
-    total = 0
-    for n in range(n_max + 1):
-        words = group.sphere_words(n, cap=cap)
-        total += len(words)
-        if total > cap:
-            raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
-        for arrays, m in zip(out, metrics):
-            step = m.radial_step
-            arrays.append(
-                np.full(len(words), step * n) if step is not None
-                else np.array([m.dist_word(w) for w in words])
-            )
+    for level in automaton.walk(n_max, cap=cap):
+        for arrays, kernel in zip(out, kernels):
+            arrays.append(kernel(level))
     return out
 
 
@@ -112,7 +98,6 @@ class CountReport:
     distances: np.ndarray  # sorted over the ball
     t_cov: float
     fitted: Optional[FitResult] = None
-    enumerator: Optional[str] = None  # "acceptor" or "sphere_words"
 
     def count(self, t: float) -> int:
         """N(T) with the strict convention d(o,x) < T."""
@@ -129,7 +114,6 @@ class CountReport:
             "ball_size": int(len(self.distances)),
             "sphere_sizes": [int(s) for s in self.sphere_sizes],
             "t_cov": self.t_cov,
-            "enumerator": self.enumerator,
         }
         if self.fitted is not None:
             f = self.fitted
@@ -169,7 +153,6 @@ def count_ball(
     N(T) is complete below t_cov, the least distance on the outermost
     sphere: every element beyond the ball is at least that far out.
     """
-    automaton = _acceptor(metric.group, automaton)
     arrays = sphere_distance_arrays(metric, n_max, cap, automaton)
     t_cov = float(arrays[n_max].min()) if n_max >= 1 else 0.0
     distances = np.sort(np.concatenate(arrays))
@@ -179,7 +162,6 @@ def count_ball(
         sphere_sizes=[len(a) for a in arrays],
         distances=distances,
         t_cov=t_cov,
-        enumerator="sphere_words" if automaton is None else "acceptor",
     )
 
 
@@ -366,7 +348,7 @@ def poincare_compare(
     if comps is None:
         comps = word_maximal_components(aut)
     pot = CylinderPotential(metric, 1)
-    full = sphere_distance_arrays(metric, n_max, cap)
+    full = sphere_distance_arrays(metric, n_max, cap, aut)
     direct_sphere = np.array(
         [float(np.sum(np.exp(-s * a))) for a in full]
     )
@@ -478,15 +460,18 @@ def correlate(
     n_max: int,
     alpha_thermo: Optional[float] = None,
     cap: int = DEFAULT_BALL_CAP,
+    automaton: Optional[GeodesicAutomaton] = None,
 ) -> CorrelationReport:
     """Exact pair-correlation counts M(T) for two growth-normalized metrics
-    on one group, with exponential fits with and without the 1/sqrt(T)
-    correction."""
+    on one group, from one walk of the ball, with exponential fits with and
+    without the 1/sqrt(T) correction."""
     if eps <= 0:
         raise CountingError("eps must be positive")
     if metric_d.group is not metric_dstar.group:
         raise CountingError("metrics live on different groups")
-    arrays_d, arrays_star = _ball_arrays([metric_d, metric_dstar], n_max, cap)
+    arrays_d, arrays_star = _ball_arrays(
+        [metric_d, metric_dstar], n_max, cap, automaton
+    )
     d_vals = np.concatenate(arrays_d)
     star_vals = np.concatenate(arrays_star)
     t_cov = float(arrays_d[n_max].min()) if n_max >= 1 else 0.0

@@ -129,7 +129,6 @@ class GroupPresentation:
         )
         self._order = {s: j for j, s in enumerate(self.alphabet)}
         self._nf_cache: dict[Word, Word] = {}
-        self._ext_cache: dict[tuple[Word, int], Word] = {}
         self._spheres: list[list[Word]] = [[()]]
 
     # -- orders and parsing ------------------------------------------------
@@ -194,13 +193,8 @@ class GroupPresentation:
 
     def extend(self, word: Word, s: int) -> Word:
         """Normal form of ``word * s``, where ``word`` must be a normal form
-        (cached; hot path for enumeration)."""
-        key = (word, s)
-        nf = self._ext_cache.get(key)
-        if nf is None:
-            nf = self.normal_form(word + (s,))
-            self._ext_cache[key] = nf
-        return nf
+        (through the normal-form cache; hot path for enumeration)."""
+        return self.normal_form(word + (s,))
 
     # -- enumeration -------------------------------------------------------
 
@@ -486,8 +480,9 @@ def surface_group(genus: int = 2) -> SmallCancellationGroup:
 class SchottkyGroup(FreeGroup):
     """Free group of loxodromic Mobius maps in ping-pong (Schottky) position.
 
-    Validation: every generator has |trace| > 2 and the isometric circles
-    of the generators and their inverses are pairwise disjoint.
+    Validation: every generator matrix is finite with |trace| > 2, and the
+    isometric circles of the generators and their inverses are pairwise
+    disjoint.
     """
 
     family = "matrix"
@@ -497,9 +492,11 @@ class SchottkyGroup(FreeGroup):
         matrices: Sequence[np.ndarray],
         generator_names: Optional[Sequence[str]] = None,
     ):
-        mats = [np.asarray(m, dtype=float) for m in matrices]
+        mats = [np.array(m, dtype=float) for m in matrices]  # a copy, scaled below
         super().__init__(len(mats), generator_names)
         for m in mats:
+            if not np.isfinite(m).all():
+                raise PresentationError("generator matrix must be finite")
             det = float(np.linalg.det(m))
             if det <= 0:
                 raise PresentationError("generator matrix must have det > 0")

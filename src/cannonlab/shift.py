@@ -323,12 +323,9 @@ def _orbit_sums(
 
     op = TransferOperator(aut, comp.vertices, [potential])
     k, psi, mat = op.depth, op.psi[0], op.structure.matrix
-    walk = [level for level, _ in op.structure.walk]
-    # the children of path i of level j of the operator's walk start at down[j][i]
-    down = [
-        np.searchsorted(walk[j + 1].parent, np.arange(len(walk[j].state) + 1))
-        for j in range(k - 1)
-    ]
+    # the children of path i of level j of the operator's walk start at
+    # child[j][i], the row pointers that the walk keeps for level j + 1
+    child = [indptr for _, _, indptr in op.structure.walk[1:]]
     # rank[u, label]: the place of the edge among u's edges in the component,
     # which orders the windows out of a block ending at u (a negative label
     # indexes the row from its end)
@@ -358,7 +355,7 @@ def _orbit_sums(
                 idx = parent
             block = np.full(len(r), pos)  # down to the block of edges 0..k-2
             for j in range(k - 1):
-                block = down[j][block] + r[:, j % n]
+                block = child[j][block] + r[:, j % n]
             total = np.zeros(len(r))
             for i in range(n):
                 entry = mat.indptr[block] + r[:, (i + k - 1) % n]

@@ -142,7 +142,7 @@ class TransferMatrix:
     blocks: list  # (start_vertex, labels) per index
     matrix: scipy.sparse.csr_matrix
     windows: list  # label word of each window
-    walk: list  # (Level, tail) of the paths of 0..depth edges, from _paths
+    walk: list  # (Level, tail, indptr) of the paths of 0..depth edges, from _paths
 
     @property
     def n(self) -> int:
@@ -157,7 +157,7 @@ def transfer_matrix(
     edges (its parent) to the block of its last depth-1 edges (its tail)."""
     walk = []
     for level, start, words, tail, indptr in _paths(aut, vertices, depth):
-        walk.append((level, tail))
+        walk.append((level, tail, indptr))
         if level.length == depth - 1:
             blocks = list(zip(start.tolist(), words))
     mat = scipy.sparse.csr_matrix(
@@ -189,9 +189,9 @@ class TransferOperator:
         self.psi = np.empty((len(potentials), self.structure.matrix.nnz))
         for i, p in enumerate(potentials):
             j, kernel = min(p.depth, k), p.metric.level_kernel()
-            d = [kernel(level) for level, _ in walk[: j + 1]]
+            d = [kernel(level) for level, _, _ in walk[: j + 1]]
             row = d[j] - d[j - 1][walk[j][1]]
-            for level, _ in walk[j + 1 :]:
+            for level, _, _ in walk[j + 1 :]:
                 row = row[level.parent]  # from each prefix to its extensions
             self.psi[i] = row
             p._recorded.append((j, self.structure.windows, row))

@@ -89,10 +89,10 @@ def test_genus3_report_through_the_trie_acceptor(tmp_path):
     with open(os.path.join(out, "count.json")) as fh:
         count = json.load(fh)
     assert count["sphere_sizes"] == [1, 12, 132, 1452]
-    assert (count["enumerator"], count["validated_to"]) == ("acceptor", 3)
+    assert count["validated_to"] == 3
 
 
-def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch):
+def test_count_records_its_validated_radius(tmp_path, monkeypatch):
     # count walks the validated acceptor, and refuses one whose check failed
     cfg = write_config(
         tmp_path, {"automaton": {"n_validate": 5}, "counting": {"n_max": 6}}
@@ -101,7 +101,7 @@ def test_count_records_its_enumerator_and_validated_radius(tmp_path, monkeypatch
     assert code == 0
     with open(os.path.join(out, "count.json")) as fh:
         doc = json.load(fh)
-    assert (doc["enumerator"], doc["validated_to"]) == ("acceptor", 5)
+    assert doc["validated_to"] == 5
     validate = automaton.validate_bijection
     monkeypatch.setattr(
         automaton, "validate_bijection",
@@ -255,15 +255,25 @@ def test_cache_key_holds_the_package_version(tmp_path, free_pair_cfg, monkeypatc
     assert len(os.listdir(cache_dir)) == 2 and old in os.listdir(cache_dir)
 
 
-def test_warm_report_does_no_dehn_work(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        {
-            "group": {"family": "surface", "genus": 2},
-            "automaton": {"n_validate": 4},
-            "counting": {"n_max": 4},
-        },
-    )
+GENUS2_REPORTS = {
+    "one_metric": {
+        "group": {"family": "surface", "genus": 2},
+        "automaton": {"n_validate": 4},
+        "counting": {"n_max": 4},
+    },
+    # correlate enumerates its ball too
+    "two_metrics": {
+        "group": {"family": "surface", "genus": 2},
+        "metrics": [{"kind": "word"}, {"kind": "scaled_word", "factor": 1.5}],
+        "automaton": {"n_validate": 4},
+        "counting": {"n_max": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("config", sorted(GENUS2_REPORTS))
+def test_warm_report_does_no_dehn_work(tmp_path, monkeypatch, config):
+    cfg = write_config(tmp_path, GENUS2_REPORTS[config])
     validations = counted(monkeypatch, "validate_bijection", automaton)
     spheres, sphere_words = [], groups.GroupPresentation.sphere_words
     monkeypatch.setattr(
@@ -402,6 +412,39 @@ INTEGER_FIELDS = {
 def test_integer_field_rejects_a_non_integer(tmp_path, field, value, capsys):
     cfg = write_config(tmp_path, INTEGER_FIELDS[field](value))
     code, _ = run(tmp_path, "report", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and field in err
+
+
+def schottky_matrices(v):
+    """The standard Schottky group's matrices, first entry replaced by v."""
+    mats = [m.tolist() for m in groups.standard_schottky().matrices]
+    mats[0][0][0] = v
+    return {"group": {"family": "schottky", "matrices": mats}}
+
+
+REAL_FIELDS = {
+    "eps": lambda v: {"counting": {"eps": v}},
+    "t_min": lambda v: {"scan": {"t_min": v}},
+    "t_max": lambda v: {"scan": {"t_max": v}},
+    "factor": lambda v: {"metrics": [{"kind": "scaled_word", "factor": v}]},
+    "terms": lambda v: {
+        "metrics": [{"kind": "linear_combination", "terms": [[v, {"kind": "word"}]]}]
+    },
+    "traces": lambda v: {"group": {"family": "schottky", "traces": [v, 5.0]}},
+    "matrices": schottky_matrices,
+}
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400, True, "1.5"],
+    ids=["nan", "infinity", "minus_infinity", "too_large", "boolean", "string"],
+)
+@pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+def test_real_field_rejects_anything_but_a_finite_number(tmp_path, field, value, capsys):
+    cfg = write_config(tmp_path, REAL_FIELDS[field](value))
+    code, _ = run(tmp_path, "scan", "--config", cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and field in err

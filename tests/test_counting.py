@@ -274,7 +274,7 @@ def test_fuchsian_distances_need_only_generator_matrices(schottky_aut, schottky_
     assert len(walks) == 1
 
 
-def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, monkeypatch):
+def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, genus2, monkeypatch):
     started = []
     levels = automaton.GeodesicAutomaton._levels
     monkeypatch.setattr(
@@ -289,30 +289,66 @@ def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, m
         )
     with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
         counting.count_ball(fuchsian, 11, cap=1000)
+    # without an acceptor, the check to the radius is capped before any sphere
+    monkeypatch.setattr(groups.GroupPresentation, "sphere_words", None)
+    with pytest.raises(groups.ResourceCapError, match="radius 11 exceeds cap 1000"):
+        counting.count_ball(metrics.WordMetric(genus2), 11, cap=1000)
     assert started == []
+
+
+def sphere_word_reference(metric, n_max):
+    """d(o,x) sphere by sphere without the coding: one ``dist_word`` per
+    normal form of ``sphere_words``, in its shortlex order."""
+    return [
+        np.array([metric.dist_word(w) for w in metric.group.sphere_words(n)])
+        for n in range(n_max + 1)
+    ]
 
 
 def test_genus2_ball_through_the_acceptor_equals_sphere_words(genus2, genus2_aut, monkeypatch):
     wm = metrics.WordMetric(genus2)
-    spheres = counting.count_ball(wm, 5)
-    assert spheres.enumerator == "sphere_words"
+    spheres = sphere_word_reference(wm, 5)
     green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=3)
-    green_spheres = counting.sphere_distance_arrays(green, 2)
+    green_spheres = sphere_word_reference(green, 2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("sphere_words on the acceptor path")
 
     monkeypatch.setattr(groups.GroupPresentation, "sphere_words", forbidden)
     walked = counting.count_ball(wm, 5, automaton=genus2_aut)
-    assert walked.enumerator == "acceptor"
-    assert walked.sphere_sizes == spheres.sphere_sizes == [1, 8, 56, 392, 2736, 19096]
-    assert np.array_equal(walked.distances, spheres.distances)
-    assert walked.t_cov == spheres.t_cov
+    assert walked.sphere_sizes == [len(a) for a in spheres] == [1, 8, 56, 392, 2736, 19096]
+    assert np.array_equal(walked.distances, np.sort(np.concatenate(spheres)))
+    assert walked.t_cov == spheres[5].min()
     # both enumerations list each sphere in shortlex order
     green_walked = counting.sphere_distance_arrays(green, 2, automaton=genus2_aut)
     assert len(green_walked) == len(green_spheres) == 3
     for a, b in zip(green_walked, green_spheres):
         assert np.array_equal(a, b)
+
+
+def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(genus2, monkeypatch):
+    wm = metrics.WordMetric(genus2)
+    green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=3)
+    want_word, want_green = sphere_word_reference(wm, 2), sphere_word_reference(green, 2)
+    calls, saturate = [], counting.saturate
+    monkeypatch.setattr(
+        counting, "saturate", lambda *args: calls.append(args) or saturate(*args)
+    )
+    ball = counting.count_ball(green, 2)
+    assert len(calls) == 1 and calls[0][:2] == (genus2, 2)
+    assert np.array_equal(ball.distances, np.sort(np.concatenate(want_green)))
+    rep = counting.correlate(wm, green, 0.5, 2)
+    assert len(calls) == 2
+    assert np.array_equal(rep.d_values, np.concatenate(want_word))
+    assert np.array_equal(rep.dstar_values, np.concatenate(want_green))
+    # the geodesic grams under the shortlex flag: more words than elements
+    # from length 4 on, so the check to radius 4 fails and nothing is counted
+    grams = automaton._forbidden_grams
+    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: grams(g, False))
+    with pytest.raises(counting.CountingError, match="count_mismatch"):
+        counting.count_ball(wm, 4)
+    with pytest.raises(counting.CountingError, match="count_mismatch"):
+        counting.correlate(wm, green, 0.5, 4)
 
 
 def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(genus2, free2_aut):

@@ -106,7 +106,7 @@ def test_free_families_keep_no_per_word_caches():
         aut = automaton.build_shortlex_acceptor(g, 2)
         assert automaton.validate_bijection(aut, 8).ok
         g.ball_words(5)
-        assert g._nf_cache == {} and g._ext_cache == {}
+        assert g._nf_cache == {}
 
 
 @pytest.mark.parametrize(
@@ -195,6 +195,22 @@ def test_overlapping_schottky_configuration_is_rejected():
     m2 = groups.hyperbolic_isometry((-1.1, 0.9), 3.0)
     with pytest.raises(groups.PresentationError):
         groups.SchottkyGroup([m, m2])
+
+
+def test_schottky_group_normalizes_a_copy_of_the_callers_matrices(schottky):
+    mats = [2.0 * m for m in schottky.matrices]
+    group = groups.SchottkyGroup(mats)
+    for m, given, unit in zip(group.matrices, mats, schottky.matrices):
+        assert np.allclose(m, unit) and np.allclose(given, 2.0 * unit)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "infinity"])
+def test_non_finite_schottky_matrix_is_rejected(schottky, value):
+    # every later check is a comparison that NaN passes
+    mats = [m.copy() for m in schottky.matrices]
+    mats[1][0, 1] = value
+    with pytest.raises(groups.PresentationError, match="finite"):
+        groups.SchottkyGroup(mats)
 
 
 def test_hyperbolic_isometry_trace_and_axis():
