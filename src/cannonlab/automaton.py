@@ -14,15 +14,14 @@ flag, exactly one accepted word per group element.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .groups import Element, GroupPresentation, ResourceCapError, Word
 
-IDENTITY_LABEL = 0
+IDENTITY_LABEL = 0  # letters are +-1..+-rank, so no acceptor edge carries it
 
 
 class AutomatonError(Exception):
@@ -48,8 +47,6 @@ class GeodesicAutomaton:
     transitions: tuple  # tuple over states of tuple[(label, target), ...]
     accepts_all_geodesics: bool
     shortlex_unique: bool
-    augmented: bool = False
-    zero_state: Optional[int] = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -72,9 +69,9 @@ class GeodesicAutomaton:
     def accepted_counts(
         self, n_max: int, vertices: Optional[frozenset] = None
     ) -> list[int]:
-        """Number of accepted words of each length 0..n_max (0-edges
-        excluded), in exact integers; with ``vertices``, only words whose
-        path stays in that set after the initial state."""
+        """Number of accepted words of each length 0..n_max, in exact
+        integers; with ``vertices``, only words whose path stays in that set
+        after the initial state."""
         rows = self._letter_edges(vertices)
         vec = np.zeros(self.n_states, dtype=object)
         vec[self.initial] = 1
@@ -107,13 +104,12 @@ class GeodesicAutomaton:
         return self._levels([self.initial], n_max, vertices)
 
     def _letter_edges(self, vertices: Optional[frozenset]) -> list[list]:
-        """Per state, its non-identity edges (label, target) in alphabet
-        order, ending in ``vertices`` when that is given."""
+        """Per state, its edges (label, target) in alphabet order, ending
+        in ``vertices`` when that is given."""
         order = self.group._order
         return [
             sorted(
-                ((label, v) for label, v in row if label != IDENTITY_LABEL
-                 and (vertices is None or v in vertices)),
+                ((label, v) for label, v in row if vertices is None or v in vertices),
                 key=lambda edge: order[edge[0]],
             )
             for row in self.transitions
@@ -153,18 +149,17 @@ class GeodesicAutomaton:
             if len(word) == n_max:
                 continue
             for label, v in self.transitions[state]:
-                if label != IDENTITY_LABEL:
-                    stack.append((word + (label,), v))
+                stack.append((word + (label,), v))
 
     def ev(self, labels: Sequence[int]) -> Element:
-        """Evaluate a label path to its group element (0-labels act as identity)."""
-        return self.group.element(tuple(s for s in labels if s != IDENTITY_LABEL))
+        """Evaluate a label path to its group element."""
+        return self.group.element(labels)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
         doc = {
-            "schema": "geodesic-automaton/2",
+            "schema": "geodesic-automaton/3",
             "family": self.group.family,
             "generators": list(self.group.generator_names),
             "n_states": self.n_states,
@@ -172,9 +167,7 @@ class GeodesicAutomaton:
             "flags": {
                 "accepts_all_geodesics": self.accepts_all_geodesics,
                 "shortlex_unique": self.shortlex_unique,
-                "augmented": self.augmented,
             },
-            "zero_state": self.zero_state,
             "edges": [list(e) for e in self.edges()],
         }
         return json.dumps(doc, indent=1, sort_keys=True)
@@ -182,7 +175,7 @@ class GeodesicAutomaton:
     @staticmethod
     def from_json(text: str, group: GroupPresentation) -> "GeodesicAutomaton":
         doc = json.loads(text)
-        if doc.get("schema") != "geodesic-automaton/2":
+        if doc.get("schema") != "geodesic-automaton/3":
             raise AutomatonError("unknown automaton schema")
         n = doc["n_states"]
         rows: list[list] = [[] for _ in range(n)]
@@ -195,17 +188,7 @@ class GeodesicAutomaton:
             transitions=tuple(tuple(sorted(r)) for r in rows),
             accepts_all_geodesics=doc["flags"]["accepts_all_geodesics"],
             shortlex_unique=doc["flags"]["shortlex_unique"],
-            augmented=doc["flags"]["augmented"],
-            zero_state=doc["zero_state"],
         )
-
-    def drop_edge(self, u: int, v: int, label: int) -> "GeodesicAutomaton":
-        """Copy with one edge removed (fault-injection helper for tests)."""
-        rows = [list(r) for r in self.transitions]
-        if (label, v) not in rows[u]:
-            raise AutomatonError("edge not present")
-        rows[u].remove((label, v))
-        return replace(self, transitions=tuple(tuple(r) for r in rows))
 
 
 # -- construction ------------------------------------------------------------
@@ -329,27 +312,6 @@ def build_shortlex_acceptor(
     a cone radius, and the parameter stays only so that callers written
     as ``build_shortlex_acceptor(group, 1)`` keep working."""
     return _build(presentation, shortlex=True, state_cap=state_cap)
-
-
-def augment(aut: GeodesicAutomaton) -> GeodesicAutomaton:
-    """Add the absorbing 0-state: identity-labeled edges from every vertex
-    except the initial one, and a self-loop at 0."""
-    if aut.augmented:
-        warnings.warn("automaton already augmented; returning unchanged")
-        return aut
-    zero = aut.n_states
-    rows = [list(r) for r in aut.transitions]
-    for u in range(aut.n_states):
-        if u != aut.initial:
-            rows[u].append((IDENTITY_LABEL, zero))
-    rows.append([(IDENTITY_LABEL, zero)])
-    return replace(
-        aut,
-        n_states=aut.n_states + 1,
-        transitions=tuple(tuple(sorted(r)) for r in rows),
-        augmented=True,
-        zero_state=zero,
-    )
 
 
 # -- validation --------------------------------------------------------------

@@ -103,10 +103,11 @@ def _real(value) -> float:
 
 
 def _integer(value) -> int:
-    """A JSON integer or an integral float; anything else is a ValueError
-    rather than a truncated number."""
-    if not _real(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
+    """A JSON integer or an integral float of at least 1, since every integer
+    field counts something; anything else is a ValueError rather than a
+    truncated number."""
+    if not _real(value).is_integer() or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
     return int(value)
 
 
@@ -147,8 +148,8 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
     for section, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(cfg[section], dict):
             raise ConfigError(f"{section} must be a JSON object")
-    if not isinstance(cfg["metrics"], list):
-        raise ConfigError("metrics must be a list")
+    if not isinstance(cfg["metrics"], list) or not cfg["metrics"]:
+        raise ConfigError("metrics must be a non-empty list")
     for flag, _, section, key, _ in FLAGS:
         if getattr(args, flag, None) is not None:
             cfg[section][key] = getattr(args, flag)
@@ -301,7 +302,7 @@ class Run:
         return self._solved[solve, i]
 
 
-AUTOMATON_CACHE = "automaton-cache/3"  # in the cache key; bump on a format change
+AUTOMATON_CACHE = "automaton-cache/4"  # in the cache key; bump on a format change
 
 
 def _automaton_digest(doc: dict) -> str:

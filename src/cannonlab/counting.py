@@ -526,44 +526,3 @@ def correlate(
         report.resid_norm_sqrt < report.resid_norm_plain
     )
     return report
-
-
-# -- mean distance ratio -----------------------------------------------------
-
-@dataclass
-class MeanRatioReport:
-    lam: float  # sphere-wise median of d(o,x)/|x|_S at the outermost radius
-    eps_prime: float
-    tail_fractions: np.ndarray  # fraction outside (lam +- eps') per radius
-    decay_rate: Optional[float]  # slope of log fraction per radius
-    flagged: bool  # tail not decaying: inputs likely mis-normalized
-
-
-def mean_ratio_diagnostic(
-    metric_alpha: MetricModel,
-    n_max: int,
-    eps_prime: float = 0.1,
-    cap: int = DEFAULT_BALL_CAP,
-) -> MeanRatioReport:
-    """Concentration of d(o,x)/|x|_S around its sphere-wise median; the
-    outlier fraction should die off exponentially in the radius."""
-    arrays = sphere_distance_arrays(metric_alpha, n_max, cap)
-    lam = float(np.median(arrays[n_max])) / n_max
-    fractions = np.array([
-        float(np.mean(np.abs(arrays[n] / n - lam) > eps_prime))
-        for n in range(1, n_max + 1)
-    ])
-    positive = fractions > 0
-    decay = None
-    if int(positive.sum()) >= 3:
-        radii = np.arange(1, n_max + 1)[positive]
-        decay = float(_linregress(radii, np.log(fractions[positive]))[0])
-    tail = fractions[-3:]
-    flagged = bool(tail.max() > 0 and (decay is None or decay >= 0))
-    return MeanRatioReport(
-        lam=lam,
-        eps_prime=eps_prime,
-        tail_fractions=fractions,
-        decay_rate=decay,
-        flagged=flagged,
-    )

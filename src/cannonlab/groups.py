@@ -237,9 +237,6 @@ class GroupPresentation:
             out.extend(self._spheres[k])
         return out
 
-    def sphere_set(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> frozenset:
-        return frozenset(self.sphere_words(n, cap))
-
     # -- conjugacy ---------------------------------------------------------
 
     def canonical_class(self, g: Element, search_radius: int = 0) -> ConjClass:
@@ -555,31 +552,3 @@ def standard_schottky(traces: Sequence[float] = (3.0, 5.0)) -> SchottkyGroup:
         hyperbolic_isometry(axes[i], t) for i, t in enumerate(traces)
     ]
     return SchottkyGroup(mats)
-
-
-# -- module-level operation wrappers (spec surface) -------------------------
-
-def reduce(presentation: GroupPresentation, raw_word: Sequence[int]) -> Element:
-    return presentation.element(raw_word)
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def enumerate_sphere(
-    presentation: GroupPresentation, n: int, cap: int = DEFAULT_SPHERE_CAP
-) -> frozenset:
-    return frozenset(
-        Element(presentation, w) for w in presentation.sphere_words(n, cap)
-    )
-
-
-def canonical_class(g: Element, search_radius: int = 0) -> ConjClass:
-    return g.group.canonical_class(g, search_radius)
-
-
-def enumerate_classes(
-    presentation: GroupPresentation, n_max: int, search_radius: int = 0
-) -> list[ConjClass]:
-    return presentation.enumerate_classes(n_max, search_radius)

@@ -29,7 +29,6 @@ from .groups import (
     GroupPresentation,
     SchottkyGroup,
     Word,
-    invert_word,
 )
 
 
@@ -87,9 +86,6 @@ class MetricModel:
 
     def dist(self, g: Element) -> float:
         return self.dist_word(g.word)
-
-    def dist_between(self, x: Element, y: Element) -> float:
-        return self.dist_word(invert_word(x.word) + y.word)
 
     def level_kernel(self) -> Callable[[Level], np.ndarray]:
         """The batched d(o, .): a function fed every level of a walk
@@ -379,37 +375,6 @@ class LinearCombination(MetricModel):
 
 # -- derived quantities -----------------------------------------------------
 
-def gromov_product(metric: MetricModel, x: Element, y: Element) -> float:
-    dx = metric.dist(x)
-    dy = metric.dist(y)
-    dxy = metric.dist_word(invert_word(x.word) + y.word)
-    return 0.5 * (dx + dy - dxy)
-
-
-@dataclass(frozen=True)
-class BusemannQuery:
-    x: Element
-    ray_prefix: Word  # geodesic word toward the boundary point
-    depth: int
-
-
-def _is_geodesic_word(group: GroupPresentation, word: Word) -> bool:
-    for j in range(len(word) + 1):
-        if len(group.normal_form(word[:j])) != j:
-            return False
-    return True
-
-
-def busemann_trunc(metric: MetricModel, q: BusemannQuery) -> float:
-    """Truncated Busemann value d(x, p_n) - d(o, p_n) at ray depth n."""
-    if q.depth > len(q.ray_prefix):
-        raise MetricError("ray prefix shorter than requested depth")
-    if not _is_geodesic_word(metric.group, q.ray_prefix):
-        raise MetricError("ray prefix is not a geodesic word")
-    p = q.ray_prefix[: q.depth]
-    return metric.dist_word(invert_word(q.x.word) + p) - metric.dist_word(p)
-
-
 @dataclass(frozen=True)
 class TranslationLength:
     value: float
@@ -464,60 +429,3 @@ def translation_length(
     return TranslationLength(
         max(value, 0.0), err, "richardson", low_confidence=err > 1e-2
     )
-
-
-@dataclass
-class HyperbolicityReport:
-    samples_used: int
-    violations: int
-    max_violation: float
-    fitted_c: float
-    inconclusive: bool
-
-
-def check_strong_hyperbolicity(
-    metric: MetricModel,
-    sample_count: int = 400,
-    R0: float = 4.0,
-    c_candidate: float = 0.25,
-    ball_radius: int = 6,
-    seed: int = 0,
-) -> HyperbolicityReport:
-    """Sampled four-point test: whenever the configuration gap
-    d(x,y) - d(x,x') + d(x',y') - d(y,y') is at least R >= R0, the
-    cross difference d(x,y) - d(x',y) - d(x,y') + d(x',y') must be
-    at most e^{-cR} in absolute value."""
-    rng = np.random.default_rng(seed)
-    words = metric.group.ball_words(ball_radius)
-    used = 0
-    violations = 0
-    max_violation = 0.0
-    fitted = math.inf
-    d = metric.dist_word
-    inv = invert_word
-    for _ in range(sample_count * 8):
-        if used >= sample_count:
-            break
-        idx = rng.integers(0, len(words), size=4)
-        x, xp, y, yp = (words[i] for i in idx)
-        dxy = d(inv(x) + y)
-        dxxp = d(inv(x) + xp)
-        dxpyp = d(inv(xp) + yp)
-        dyyp = d(inv(y) + yp)
-        gap = dxy - dxxp + dxpyp - dyyp
-        if gap < R0:
-            continue
-        used += 1
-        dxpy = d(inv(xp) + y)
-        dxyp = d(inv(x) + yp)
-        diff = abs(dxy - dxpy - dxyp + dxpyp)
-        if diff > math.exp(-c_candidate * gap) + 1e-12:
-            violations += 1
-            max_violation = max(max_violation, diff)
-        if diff > 1e-14:
-            fitted = min(fitted, -math.log(diff) / gap)
-    if used == 0:
-        return HyperbolicityReport(0, 0, 0.0, 0.0, inconclusive=True)
-    if not math.isfinite(fitted):
-        fitted = c_candidate  # all differences vanished at working precision
-    return HyperbolicityReport(used, violations, max_violation, fitted, False)

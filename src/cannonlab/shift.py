@@ -1,9 +1,8 @@
 """Structure theory of the coding subshift.
 
 Strongly connected components with periods and cyclic parts, word-maximal
-components, realization of conjugacy classes by periodic orbits, lattice
-versus non-arithmetic behavior of potentials over periodic orbits, and a
-desk-scale growth-quasi-tightness coverage diagnostic.
+components, realization of conjugacy classes by periodic orbits, and
+lattice versus non-arithmetic behavior of potentials over periodic orbits.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .automaton import IDENTITY_LABEL, GeodesicAutomaton
+from .automaton import GeodesicAutomaton
 from .groups import ConjClass, FreeGroup, ResourceCapError, Word, invert_word
 
 
@@ -108,32 +107,19 @@ def period(comp: Component) -> int:
 
 # -- growth ------------------------------------------------------------------
 
-def component_growth(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    potential=None,
-    s: float = 0.0,
-) -> float:
-    """Log spectral radius of the component's 0-1 matrix; with a potential,
-    the pressure of -s * potential over the component."""
+def component_growth(aut: GeodesicAutomaton, comp: Component) -> float:
+    """Log spectral radius of the component's 0-1 matrix."""
     if comp.trivial:
         raise ShiftError("trivial component has no growth")
-    from .thermo import leading_eigen, pressure, transfer_matrix
+    from .thermo import leading_eigen, transfer_matrix
 
-    if potential is not None:
-        return pressure(aut, comp, potential, s)
     adjacency = transfer_matrix(aut, comp.vertices, 1).matrix
     return math.log(abs(leading_eigen(adjacency).value))
 
 
 def _growing_components(aut: GeodesicAutomaton) -> list[Component]:
-    """Nontrivial components with at least one non-identity edge."""
-    return [
-        c
-        for c in scc_decompose(aut)
-        if not c.trivial
-        and any(aut._letter_edges(c.vertices)[u] for u in c.vertices)
-    ]
+    """The nontrivial components, those that carry a cycle."""
+    return [c for c in scc_decompose(aut) if not c.trivial]
 
 
 def word_maximal_components(
@@ -402,89 +388,3 @@ def arithmeticity(
     return ArithmeticityReport(
         "non_arithmetic", g, g, n_orbits, sample
     )
-
-
-@dataclass
-class ApproximabilityReport:
-    ratio: float
-    partial_quotients: list
-    bounded_up_to_depth: bool
-    rational: bool
-
-
-def badly_approximable_diagnostic(
-    l1: float, l2: float, depth: int = 20, quotient_bound: int = 50
-) -> ApproximabilityReport:
-    """Continued fraction of l1/l2; bounded partial quotients are heuristic
-    evidence of a badly approximable ratio (no verdict asserted)."""
-    if l1 <= 0 or l2 <= 0:
-        raise ShiftError("lengths must be positive")
-    x = l1 / l2
-    quotients = []
-    y = x
-    rational = False
-    for _ in range(depth):
-        a = math.floor(y)
-        quotients.append(int(a))
-        frac = y - a
-        if frac < 1e-12:
-            rational = True
-            break
-        y = 1.0 / frac
-    bounded = all(q <= quotient_bound for q in quotients[1:]) and not rational
-    return ApproximabilityReport(x, quotients, bounded, rational)
-
-
-# -- growth quasi-tightness ---------------------------------------------------
-
-@dataclass
-class CoverReport:
-    r: int
-    n: int
-    covered: int
-    sphere_size: int
-
-    @property
-    def covered_fraction(self) -> float:
-        return self.covered / self.sphere_size
-
-
-def gqt_cover_check(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    r: int,
-    n: int,
-    path_cap: int = 2_000_000,
-) -> CoverReport:
-    """Fraction of the word sphere S_n expressible as f1 * g * f2 with
-    f1, f2 in B(r) and g read off a path inside the component."""
-    group = aut.group
-    sphere = group.sphere_set(n)
-    # elements of paths inside the component, any start vertex, length <= n+2r
-    loop_elements: set = set()
-    budget = n + 2 * r
-    seen: set = set()
-    stack = [(start, ()) for start in sorted(comp.vertices)]
-    seen.update(stack)
-    while stack:
-        v, nf = stack.pop()
-        loop_elements.add(nf)
-        if len(seen) > path_cap:
-            raise ShiftError("path enumeration exceeded cap")
-        if len(nf) >= budget:
-            continue
-        for label, w in aut.transitions[v]:
-            if label != IDENTITY_LABEL and w in comp.vertices:
-                nxt = (w, group.extend(nf, label))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    ball = group.ball_words(r)
-    covered = set()
-    for f1 in ball:
-        for f2 in ball:
-            for g in loop_elements:
-                x = group.normal_form(f1 + g + f2)
-                if x in sphere:
-                    covered.add(x)
-    return CoverReport(r, n, len(covered), len(sphere))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .automaton import IDENTITY_LABEL, GeodesicAutomaton
+from .automaton import GeodesicAutomaton
 from .groups import Word
 from .metrics import MetricModel
 from .shift import ArithmeticityReport, Component, arithmeticity
@@ -32,9 +32,9 @@ class CylinderPotential:
 
     Operators evaluate it on all their windows at once (``op.psi``); the
     one-window ``value`` and one-orbit ``cycle_sum`` are references, bit for
-    bit.  Values depend only on the label word of a window (identity labels
-    evaluate through as nothing), so one lazy table serves every component
-    of the same automaton, and operators hand it their psi.
+    bit.  Values depend only on the label word of a window, so one lazy
+    table serves every component of the same automaton, and operators hand
+    it their psi.
     """
 
     def __init__(
@@ -54,7 +54,6 @@ class CylinderPotential:
     def value(self, labels: Word) -> float:
         """Psi on the window; windows shorter than the depth are evaluated
         with their own length (exact truncation at path ends)."""
-        labels = tuple(s for s in labels if s != IDENTITY_LABEL)
         v = self._table.get(labels)
         while v is None and self._recorded:  # read in on a miss, not when recorded
             j, windows, row = self._recorded.pop()
@@ -312,25 +311,6 @@ def pressure(
     return pressure_terms(TransferOperator(aut, comp.vertices, [potential]), [-s])
 
 
-def pressure_orbit_estimate(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    potential: CylinderPotential,
-    s: float,
-    n: int,
-) -> float:
-    """(1/n) log trace(L^n): the n-periodic-orbit approximation of the
-    pressure; converges to the eigenvalue version as n grows."""
-    mat = TransferOperator(aut, comp.vertices, [potential]).matrix([-s])
-    power = mat
-    for _ in range(n - 1):
-        power = power @ mat
-    tr = float(power.diagonal().sum())
-    if tr <= 0:
-        raise ThermoError(f"no closed orbits of period {n}")
-    return math.log(tr) / n
-
-
 def _root(f, lo: float, hi: float) -> float:
     """A zero of f by Brent's method to near machine precision, after widening
     [lo, hi] (at most six times) until f changes sign on it.  The loop is
@@ -407,25 +387,6 @@ def growth_rate(
     return _root(
         lambda s: pressure_terms(op, [-s]), bracket[0], bracket[1]
     )
-
-
-def choose_depth(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    metric: MetricModel,
-    s_ref: float = 1.0,
-    tol: float = 1e-6,
-    k_max: int = 9,
-) -> CylinderPotential:
-    """Smallest depth at which the reference pressure stops moving."""
-    prev = None
-    for k in range(1, k_max + 1):
-        pot = CylinderPotential(metric, k)
-        val = pressure(aut, comp, pot, s_ref)
-        if prev is not None and abs(val - prev[1]) < tol:
-            return prev[0]
-        prev = (pot, val)
-    return prev[0]
 
 
 # -- Gibbs data --------------------------------------------------------------

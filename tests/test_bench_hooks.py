@@ -1,5 +1,8 @@
 """The benchmark traces library functions by name; every name it lists
-must still resolve, or its metrics silently drop out of the results."""
+must still resolve, or its metrics silently drop out of the results.  Its
+workloads read library names directly; a name that is gone fails every job
+that reads it."""
+import ast
 import importlib
 import importlib.util
 import os
@@ -7,9 +10,9 @@ import sys
 
 from cannonlab import automaton, groups
 
-SPANS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py"
-)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+SPANS = os.path.join(BENCH, "spans.py")
+WORKLOADS = os.path.join(BENCH, "workloads.py")
 
 
 def _spans(monkeypatch):
@@ -29,6 +32,29 @@ def test_every_traced_name_resolves(monkeypatch):
     missing += [
         f"{module}.{cls}.{attr}" for module, cls, attr in spans.WRAPPED_METHODS
         if attr not in vars(getattr(importlib.import_module(f"cannonlab.{module}"), cls))
+    ]
+    assert missing == []
+
+
+def test_every_library_name_the_workloads_read_resolves():
+    with open(WORKLOADS) as fh:
+        tree = ast.parse(fh.read())
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "cannonlab"
+        for alias in node.names
+    }
+    reads = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert reads, "found no library reads in the workloads"
+    missing = [
+        f"{module}.{attr}" for module, attr in sorted(reads)
+        if not hasattr(importlib.import_module(f"cannonlab.{module}"), attr)
     ]
     assert missing == []
 

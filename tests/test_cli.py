@@ -387,9 +387,10 @@ def test_invalid_config_exits_2(tmp_path):
         {"metrics": [{"kind": "scaled_word"}]},
         {"group": {"family": "small_cancellation", "generators": ["a", "b"]}},
         {"thermo": {"depth": "deep"}},
+        {"metrics": []},
     ],
     ids=["scaled_word_without_factor", "small_cancellation_without_relators",
-         "non_numeric_depth"],
+         "non_numeric_depth", "no_metrics"],
 )
 def test_malformed_config_exits_2(tmp_path, cfg, capsys):
     code, _ = run(tmp_path, "growth", "--config", write_config(tmp_path, cfg))
@@ -404,14 +405,23 @@ INTEGER_FIELDS = {
     "absorbing_radius": lambda v: {
         "metrics": [{"kind": "green_numeric", "absorbing_radius": v}]
     },
+    "points": lambda v: {"scan": {"points": v}},  # read by scan, not by report
 }
+NOT_COUNTS = {"fractional": 4.7, "boolean": True, "string": "4", "zero": 0, "negative": -1}
+INTEGER_CASES = [
+    (field, name) for field in sorted(INTEGER_FIELDS) if field != "points"
+    for name in NOT_COUNTS
+] + [("points", "zero"), ("points", "negative")]
 
 
-@pytest.mark.parametrize("value", [4.7, True, "4"], ids=["fractional", "boolean", "string"])
-@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize(
+    "field,value", INTEGER_CASES, ids=[f"{f}-{v}" for f, v in INTEGER_CASES]
+)
 def test_integer_field_rejects_a_non_integer(tmp_path, field, value, capsys):
-    cfg = write_config(tmp_path, INTEGER_FIELDS[field](value))
-    code, _ = run(tmp_path, "report", "--config", cfg)
+    """Every integer field counts something: a fraction, boolean, string,
+    zero or negative number exits 2 and names the field."""
+    cfg = write_config(tmp_path, INTEGER_FIELDS[field](NOT_COUNTS[value]))
+    code, _ = run(tmp_path, "scan" if field == "points" else "report", "--config", cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and field in err

@@ -142,20 +142,6 @@ def test_correlate_validates_inputs(free2, schottky, fuchsian):
         counting.correlate(wm, fuchsian, 0.5, 4)
 
 
-def test_mean_ratio_trivial_for_scaled_word(free2):
-    sm = metrics.ScaledWordMetric(free2, 0.8)
-    rep = counting.mean_ratio_diagnostic(sm, 6)
-    assert abs(rep.lam - 0.8) < 1e-12
-    assert np.all(rep.tail_fractions == 0.0)
-    assert not rep.flagged
-
-
-def test_mean_ratio_concentrates_for_fuchsian(fuchsian):
-    rep = counting.mean_ratio_diagnostic(fuchsian, 8, eps_prime=0.5)
-    assert not rep.flagged
-    assert rep.tail_fractions[-1] < rep.tail_fractions[0]
-
-
 def test_report_serialization_round_trip(free2, log3):
     wm = metrics.WordMetric(free2)
     rep = counting.count_ball(wm, 8)

@@ -219,11 +219,3 @@ def test_hyperbolic_isometry_trace_and_axis():
     # axis endpoints are fixed points of the Mobius action
     for p in (4.0, 8.0):
         assert abs((m[0, 0] * p + m[0, 1]) / (m[1, 0] * p + m[1, 1]) - p) < 1e-9
-
-
-def test_module_level_wrappers(free2):
-    g = groups.reduce(free2, (1, -1, 2))
-    assert g.word == (2,)
-    h = groups.multiply(g, g)
-    assert h.word == (2, 2)
-    assert len(groups.enumerate_sphere(free2, 2)) == 12

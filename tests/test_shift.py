@@ -1,6 +1,4 @@
-"""Subshift structure: components, loops, lattice behavior, coverage."""
-import math
-
+"""Subshift structure: components, loops, lattice behavior."""
 import numpy as np
 import pytest
 
@@ -198,23 +196,6 @@ def test_fuchsian_potential_is_non_arithmetic(schottky_aut, schottky_comp, fuchs
     rep = shift.arithmeticity(schottky_aut, schottky_comp, pot)
     assert rep.verdict == "non_arithmetic"
     assert rep.gap <= 1e-4
-
-
-def test_approximability_diagnostic():
-    golden = (1 + math.sqrt(5)) / 2
-    rep = shift.badly_approximable_diagnostic(golden, 1.0, depth=15)
-    assert rep.bounded_up_to_depth
-    assert all(q == 1 for q in rep.partial_quotients[:10])
-    rep2 = shift.badly_approximable_diagnostic(3.0, 2.0)
-    assert rep2.rational
-    with pytest.raises(shift.ShiftError):
-        shift.badly_approximable_diagnostic(-1.0, 1.0)
-
-
-def test_cover_check_reaches_full_sphere(free2_aut, free2_comp):
-    rep = shift.gqt_cover_check(free2_aut, free2_comp, r=1, n=3)
-    assert rep.covered_fraction == 1.0
-    assert rep.sphere_size == 36
 
 
 @pytest.mark.parametrize("case", ["genus3_word", "schottky_fuchsian"])
