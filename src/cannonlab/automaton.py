@@ -67,11 +67,13 @@ class GeodesicAutomaton:
     # -- language ----------------------------------------------------------
 
     def accepted_counts(
-        self, n_max: int, vertices: Optional[frozenset] = None
+        self, n_max: int, vertices: Optional[frozenset] = None,
+        cap: Optional[int] = None,
     ) -> list[int]:
         """Number of accepted words of each length 0..n_max, in exact
         integers; with ``vertices``, only words whose path stays in that set
-        after the initial state."""
+        after the initial state.  More than ``cap`` words in all raise
+        ResourceCapError."""
         rows = self._letter_edges(vertices)
         vec = np.zeros(self.n_states, dtype=object)
         vec[self.initial] = 1
@@ -83,6 +85,10 @@ class GeodesicAutomaton:
                     nxt[v] += vec[u]
             vec = nxt
             counts.append(int(vec.sum()))
+        if cap is not None and sum(counts) > cap:
+            raise ResourceCapError(
+                f"walk to length {n_max} would visit {sum(counts)} words, cap {cap}"
+            )
         return counts
 
     def walk(
@@ -96,11 +102,7 @@ class GeodesicAutomaton:
         shortlex acceptor, the order of ``group.sphere_words``).  The sizes
         are predicted before any array is allocated: a ball larger than
         ``cap`` raises ResourceCapError here, before the walk starts."""
-        total = sum(self.accepted_counts(n_max, vertices))
-        if cap is not None and total > cap:
-            raise ResourceCapError(
-                f"walk to length {n_max} would visit {total} words, cap {cap}"
-            )
+        self.accepted_counts(n_max, vertices, cap)
         return self._levels([self.initial], n_max, vertices)
 
     def _letter_edges(self, vertices: Optional[frozenset]) -> list[list]:

@@ -157,6 +157,9 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
         raise ConfigError("at most two metrics")
     if _field(cfg["counting"], "eps", _real) <= 0:
         raise ConfigError("counting.eps must be positive")
+    # the curve's ends and one interior point, for the midpoint tests
+    if _field(cfg["manhattan"], "points", _integer) < 3:
+        raise ConfigError("manhattan.points must be at least 3")
     return cfg
 
 

@@ -5,7 +5,7 @@ Poincare partial sums with their transfer-operator form, fits the leading
 exponential asymptotic and the power-saving error term, and produces the
 pair-correlation counts for two metrics on the same group.
 
-Balls are enumerated by walking the coding one length at a time, and the
+Balls are enumerated by walking the coding in blocks of subtrees, and the
 distances of each level come from the metric's batched ``level_kernel``.
 Everything here is single-threaded and deterministic.
 """
@@ -14,11 +14,11 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .automaton import GeodesicAutomaton, build_shortlex_acceptor, saturate
+from .automaton import GeodesicAutomaton, Level, build_shortlex_acceptor, saturate
 from .groups import FreeGroup
 from .metrics import MetricModel
 from .shift import Component, word_maximal_components
@@ -32,16 +32,26 @@ class CountingError(Exception):
     pass
 
 
+_BLOCK = 1 << 16  # words of the outermost sphere per block of a ball walk
+
+
 def sphere_distance_arrays(
     metric: MetricModel, n_max: int, cap: int = DEFAULT_BALL_CAP,
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max: the words
-    of the acceptor that ``_acceptor`` picks, walked level by level through
-    the metric's ``level_kernel``.  Each sphere is in shortlex order (that
-    of ``group.sphere_words``), so arrays for metrics on the same group may
-    be combined entrywise."""
-    return _ball_arrays([metric], n_max, cap, automaton)[0]
+    of the acceptor that ``_acceptor`` picks, walked by ``_ball_levels``
+    through the metric's ``level_kernel``.  Each sphere is in shortlex order
+    (that of ``group.sphere_words``), so arrays for metrics on the same
+    group may be combined entrywise.  The spheres are views of one array
+    over the ball."""
+    (ball,), sizes = _ball_arrays([metric], n_max, cap, automaton)
+    return _spheres(ball, sizes)
+
+
+def _spheres(ball: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """The spheres of a ball array, as views."""
+    return np.split(ball, np.cumsum(sizes)[:-1])
 
 
 def _acceptor(
@@ -49,31 +59,85 @@ def _acceptor(
 ) -> GeodesicAutomaton:
     """The acceptor whose walk enumerates the group's balls: the given one,
     else a free group's own (the reduced words, which is exact), else the
-    shortlex acceptor checked against the word problem to length n_max."""
+    shortlex acceptor checked against the word problem to length n_max.  A
+    passing check is kept on the group with its radius and serves every
+    ball up to that radius; a failed one is raised and not kept."""
     if automaton is None:
         if isinstance(group, FreeGroup):
             return build_shortlex_acceptor(group)
+        checked = group._checked_acceptor
+        if checked is not None and checked[1] >= n_max:
+            return checked[0]
         automaton, report = saturate(group, n_max, cap)
         if not report.ok:
             raise CountingError(f"bijection check failed: {report.first_failure}")
+        group._checked_acceptor = (automaton, n_max)
     if automaton.group is not group or not automaton.shortlex_unique:
         raise CountingError("balls are walked on a shortlex acceptor of the group")
     return automaton
 
 
+def _ball_levels(
+    aut: GeodesicAutomaton, n_max: int, vertices: Optional[frozenset]
+) -> Iterator[Level]:
+    """The accepted words of length 0..n_max, restricted like
+    ``accepted_counts``, as Levels in blocks: the levels shorter than k
+    whole, then, for consecutive runs of level-k words in shortlex order,
+    the run and the levels of its subtrees.  k is the least length at which
+    no word has more than _BLOCK descendants of length n_max, and a run has
+    at most _BLOCK of them.  A level's ``parent`` indexes the last level
+    before it of one length less.  Within a sphere, shortlex order is
+    prefix-major, so the levels of one length follow each other in the
+    sphere's shortlex order."""
+    rows = aut._letter_edges(vertices)
+    # below[m][u]: the paths of m edges from state u
+    below = [[1] * aut.n_states]
+    for _ in range(n_max):
+        below.append([sum(below[-1][v] for _, v in row) for row in rows])
+    k, present = 0, {aut.initial}
+    while max((below[n_max - k][u] for u in present), default=0) > _BLOCK:
+        present = {v for u in present for _, v in rows[u]}
+        k += 1
+    one = np.zeros(1, dtype=np.int64)
+    roots = Level(0, np.array([aut.initial]), one, one)
+    if k:
+        *prefix, roots = aut._levels([aut.initial], k, vertices)
+        yield from prefix
+    weight = [below[n_max - k][u] for u in roots.state.tolist()]
+    lo = 0
+    while lo < len(weight):
+        hi, size = lo + 1, weight[lo]
+        while hi < len(weight) and size + weight[hi] <= _BLOCK:
+            size, hi = size + weight[hi], hi + 1
+        levels = aut._levels(roots.state[lo:hi], n_max - k, vertices)
+        next(levels)  # the run itself, without its parents in level k - 1
+        yield Level(k, *(a[lo:hi] for a in roots[1:]))
+        for level in levels:
+            yield level._replace(length=k + level.length)
+        lo = hi
+
+
 def _ball_arrays(
     metrics: Sequence[MetricModel], n_max: int, cap: int,
     automaton: Optional[GeodesicAutomaton] = None,
-) -> list[list[np.ndarray]]:
-    """sphere_distance_arrays for several metrics on one group, from one
-    walk of the ball."""
+    vertices: Optional[frozenset] = None,
+) -> tuple[list[np.ndarray], list[int]]:
+    """The distances of every metric over the ball, sphere after sphere in
+    shortlex order, from one walk of it, and the sphere sizes.  The sizes
+    are counted first, and a ball larger than ``cap`` raises before any
+    array is allocated; each level's distances are then written straight
+    into place."""
     automaton = _acceptor(metrics[0].group, automaton, n_max, cap)
+    sizes = automaton.accepted_counts(n_max, vertices, cap)
+    balls = [np.empty(sum(sizes)) for _ in metrics]
     kernels = [m.level_kernel() for m in metrics]
-    out: list[list[np.ndarray]] = [[] for _ in metrics]
-    for level in automaton.walk(n_max, cap=cap):
-        for arrays, kernel in zip(out, kernels):
-            arrays.append(kernel(level))
-    return out
+    end = np.cumsum([0] + sizes[:-1])  # where the next word of each length goes
+    for level in _ball_levels(automaton, n_max, vertices):
+        lo, hi = end[level.length], end[level.length] + len(level.state)
+        for ball, kernel in zip(balls, kernels):
+            ball[lo:hi] = kernel(level)
+        end[level.length] = hi
+    return balls, sizes
 
 
 # -- ball counts -------------------------------------------------------------
@@ -153,13 +217,13 @@ def count_ball(
     N(T) is complete below t_cov, the least distance on the outermost
     sphere: every element beyond the ball is at least that far out.
     """
-    arrays = sphere_distance_arrays(metric, n_max, cap, automaton)
-    t_cov = float(arrays[n_max].min()) if n_max >= 1 else 0.0
-    distances = np.sort(np.concatenate(arrays))
+    (distances,), sizes = _ball_arrays([metric], n_max, cap, automaton)
+    t_cov = float(distances[-sizes[n_max]:].min()) if n_max >= 1 else 0.0
+    distances.sort()
     return CountReport(
         metric_tag=metric.kind,
         n_max=n_max,
-        sphere_sizes=[len(a) for a in arrays],
+        sphere_sizes=sizes,
         distances=distances,
         t_cov=t_cov,
     )
@@ -317,13 +381,10 @@ def _restricted_direct_sums(
     cap: int,
 ) -> np.ndarray:
     """Sigma e^{-s d(o,x)} over length-n elements whose accepted path runs
-    inside the component, one level of the walk at a time."""
-    sums = np.zeros(n_max + 1)
-    evaluate = metric.level_kernel()
-    for level in aut.walk(n_max, comp.vertices, cap):
-        d = evaluate(level)
-        if level.length:
-            sums[level.length] = np.sum(np.exp(-s * d))
+    inside the component, one sphere at a time."""
+    (ball,), sizes = _ball_arrays([metric], n_max, cap, aut, comp.vertices)
+    sums = np.array([np.sum(np.exp(-s * d)) for d in _spheres(ball, sizes)])
+    sums[0] = 0.0
     return sums
 
 
@@ -469,16 +530,18 @@ def correlate(
         raise CountingError("eps must be positive")
     if metric_d.group is not metric_dstar.group:
         raise CountingError("metrics live on different groups")
-    arrays_d, arrays_star = _ball_arrays(
+    (d_vals, star_vals), sizes = _ball_arrays(
         [metric_d, metric_dstar], n_max, cap, automaton
     )
-    d_vals = np.concatenate(arrays_d)
-    star_vals = np.concatenate(arrays_star)
-    t_cov = float(arrays_d[n_max].min()) if n_max >= 1 else 0.0
+    t_cov = float(d_vals[-sizes[n_max]:].min()) if n_max >= 1 else 0.0
 
-    gap = np.abs(star_vals - d_vals)
+    gap = np.subtract(star_vals, d_vals)
+    np.abs(gap, out=gap)  # in place: one temporary the size of the ball
     degenerate = bool(gap.max() <= eps)
-    sel = np.sort(d_vals[gap <= eps])
+    near = gap <= eps
+    del gap
+    sel = d_vals[near]
+    sel.sort()
 
     report = CorrelationReport(
         eps=eps,

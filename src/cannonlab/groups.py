@@ -130,6 +130,9 @@ class GroupPresentation:
         self._order = {s: j for j, s in enumerate(self.alphabet)}
         self._nf_cache: dict[Word, Word] = {}
         self._spheres: list[list[Word]] = [[()]]
+        # (shortlex acceptor, radius) of the last passing bijection check
+        # that counting ran without a given acceptor
+        self._checked_acceptor: Optional[tuple] = None
 
     # -- orders and parsing ------------------------------------------------
 

@@ -88,23 +88,26 @@ class MetricModel:
         return self.dist_word(g.word)
 
     def level_kernel(self) -> Callable[[Level], np.ndarray]:
-        """The batched d(o, .): a function fed every level of a walk
-        (``GeodesicAutomaton.walk`` or ``_levels``) in order from level 0,
-        returning the distances of that level's words, which must be normal
-        forms.  Radial metrics read step * length; any other metric here
-        rebuilds the words and evaluates them one by one."""
+        """The batched d(o, .): a function fed the levels of a walk from
+        level 0, returning the distances of each level's words, which must
+        be normal forms.  A level's ``parent`` indexes the last level fed
+        of one length less: a plain walk (``GeodesicAutomaton.walk`` or
+        ``_levels``) or the block walk of ``counting._ball_levels``.
+        Kernels keep state per length, for the last level fed of it.
+        Radial metrics read step * length; any other metric here rebuilds
+        the words and evaluates them one by one."""
         step = self.radial_step
         if step is not None:
             return lambda level: np.full(len(level.state), step * level.length)
-        words: list[Word] = []
+        words: dict[int, list[Word]] = {}  # per length, of the last level fed
 
         def generic(level: Level) -> np.ndarray:
-            nonlocal words
-            words = [
-                words[p] + (s,)
+            n = level.length
+            words[n] = [
+                words[n - 1][p] + (s,)
                 for p, s in zip(level.parent.tolist(), level.label.tolist())
-            ] if level.length else [()] * len(level.state)
-            return np.array([self.dist_word(w) for w in words])
+            ] if n else [()] * len(level.state)
+            return np.array([self.dist_word(w) for w in words[n]])
 
         return generic
 
@@ -324,15 +327,15 @@ class FuchsianOrbit(MetricModel):
 
     def level_kernel(self) -> Callable[[Level], np.ndarray]:
         r = self.group.rank
-        state = np.zeros((5, 0))  # rows: entries a, b, c, d of M, log_scale
+        # per length, of the last level fed: rows a, b, c, d of M, log_scale
+        states: dict[int, np.ndarray] = {}
 
         def fuchsian(level: Level) -> np.ndarray:
-            nonlocal state
             n = len(level.state)
             if level.length == 0:
-                state = np.repeat([[1.0], [0.0], [0.0], [1.0], [0.0]], n, axis=1)
+                states[0] = np.repeat([[1.0], [0.0], [0.0], [1.0], [0.0]], n, axis=1)
                 return np.zeros(n)
-            new, dist = np.empty((5, n)), np.empty(n)
+            state, new, dist = states[level.length - 1], np.empty((5, n)), np.empty(n)
             # in chunks, so that the temporaries stay small and in cache
             for lo in range(0, n, _CHUNK):
                 part = slice(lo, lo + _CHUNK)
@@ -340,7 +343,7 @@ class FuchsianOrbit(MetricModel):
                 m, ls = _orbit_step(m, self._gens, level.label[part] + r, ls)
                 new[:4, part], new[4, part] = m, ls
                 dist[part] = self._distance(m, ls)
-            state = new
+            states[level.length] = new
             return dist
 
         return fuchsian

@@ -388,9 +388,12 @@ def test_invalid_config_exits_2(tmp_path):
         {"group": {"family": "small_cancellation", "generators": ["a", "b"]}},
         {"thermo": {"depth": "deep"}},
         {"metrics": []},
+        {"manhattan": {"points": 1}},
+        {"manhattan": {"points": 2}},
     ],
     ids=["scaled_word_without_factor", "small_cancellation_without_relators",
-         "non_numeric_depth", "no_metrics"],
+         "non_numeric_depth", "no_metrics", "manhattan_one_point",
+         "manhattan_two_points"],
 )
 def test_malformed_config_exits_2(tmp_path, cfg, capsys):
     code, _ = run(tmp_path, "growth", "--config", write_config(tmp_path, cfg))

@@ -1,6 +1,7 @@
 """Orbital counting: ball reports, asymptotic fits, Poincare series, pairs."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,7 +313,8 @@ def test_genus2_ball_through_the_acceptor_equals_sphere_words(genus2, genus2_aut
         assert np.array_equal(a, b)
 
 
-def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(genus2, monkeypatch):
+def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(monkeypatch):
+    genus2 = groups.surface_group(2)  # no check kept from another test
     wm = metrics.WordMetric(genus2)
     green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=3)
     want_word, want_green = sphere_word_reference(wm, 2), sphere_word_reference(green, 2)
@@ -324,7 +326,7 @@ def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(genus2, mo
     assert len(calls) == 1 and calls[0][:2] == (genus2, 2)
     assert np.array_equal(ball.distances, np.sort(np.concatenate(want_green)))
     rep = counting.correlate(wm, green, 0.5, 2)
-    assert len(calls) == 2
+    assert len(calls) == 1  # the passing check to radius 2 is kept
     assert np.array_equal(rep.d_values, np.concatenate(want_word))
     assert np.array_equal(rep.dstar_values, np.concatenate(want_green))
     # the geodesic grams under the shortlex flag: more words than elements
@@ -362,3 +364,108 @@ def test_linregress_of_constant_y_has_nan_stderr():
     ref = scipy.stats.linregress(x, y)
     assert (slope, intercept) == (ref.slope, ref.intercept) == (0.0, 2.0)
     assert math.isnan(stderr) and math.isnan(ref.stderr)
+
+
+BLOCK_CASES = {
+    # case: fixture getter -> (metrics, shortlex acceptor, radius)
+    "word": lambda fx: ([metrics.WordMetric(fx("free2"))], fx("free2_aut"), 6),
+    "green_closed_form": lambda fx: (
+        [metrics.GreenClosedForm(fx("free2"))], fx("free2_aut"), 6),
+    "fuchsian_two_base_points": lambda fx: (
+        [fx("fuchsian"), metrics.FuchsianOrbit(fx("schottky"), complex(0.2, 2.1))],
+        fx("schottky_aut"), 6),
+    "word_plus_fuchsian": lambda fx: (
+        [metrics.LinearCombination(
+            [(0.6, metrics.WordMetric(fx("schottky"))), (0.4, fx("fuchsian"))])],
+        fx("schottky_aut"), 6),
+    "green_numeric": lambda fx: (
+        [metrics.GreenNumeric(fx("genus2"), absorbing_radius=5, safety_margin=3)],
+        fx("genus2_aut"), 2),
+}
+
+
+@pytest.mark.parametrize("block", [2, 7])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_walk_gives_the_one_block_spheres_bit_for_bit(
+    case, block, request, monkeypatch
+):
+    metric_list, aut, n_max = BLOCK_CASES[case](request.getfixturevalue)
+    monkeypatch.setattr(counting, "_BLOCK", 1 << 62)
+    whole = [
+        counting.sphere_distance_arrays(m, n_max, automaton=aut) for m in metric_list
+    ]
+    walks = []
+    levels = automaton.GeodesicAutomaton._levels
+    monkeypatch.setattr(
+        automaton.GeodesicAutomaton,
+        "_levels",
+        lambda self, *args: walks.append(args) or levels(self, *args),
+    )
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    for metric, want in zip(metric_list, whole):
+        walks.clear()
+        got = counting.sphere_distance_arrays(metric, n_max, automaton=aut)
+        assert [len(a) for a in got] == [len(a) for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    # the ball splits into many blocks, walked one after another
+    per_ball = len(walks)
+    assert per_ball >= 8
+    if len(metric_list) == 2:
+        # one walk of the ball feeds both metrics
+        walks.clear()
+        rep = counting.correlate(*metric_list, 0.5, n_max, automaton=aut)
+        assert len(walks) == per_ball
+        assert np.array_equal(rep.d_values, np.concatenate(whole[0]))
+        assert np.array_equal(rep.dstar_values, np.concatenate(whole[1]))
+
+
+def test_restricted_poincare_sums_do_not_depend_on_the_block(
+    schottky_aut, schottky_comp, fuchsian, monkeypatch
+):
+    def compare(block):
+        monkeypatch.setattr(counting, "_BLOCK", block)
+        return counting.poincare_compare(
+            schottky_aut, fuchsian, 0.5, 6, comps=[schottky_comp]
+        )
+
+    whole, blocks = compare(1 << 62), compare(3)
+    assert np.array_equal(whole.direct_sphere_sums, blocks.direct_sphere_sums)
+    i = schottky_comp.index
+    assert np.array_equal(whole.restricted_direct[i], blocks.restricted_direct[i])
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ball_memory_is_bounded_by_the_result(schottky, fuchsian):
+    """The walk holds one block of kernel state at a time, so the traced
+    peak stays within three times the bytes of the result."""
+    rep, peak = _traced_peak(lambda: counting.count_ball(fuchsian, 12))
+    assert len(rep.distances) == 1 + 2 * (3 ** 12 - 1)
+    assert peak <= 3 * rep.distances.nbytes
+    other = metrics.FuchsianOrbit(schottky, complex(0.2, 2.1))
+    corr, peak = _traced_peak(lambda: counting.correlate(fuchsian, other, 0.5, 12))
+    assert peak <= 3 * (corr.d_values.nbytes + corr.dstar_values.nbytes)
+
+
+def test_a_passing_check_serves_every_ball_up_to_its_radius(monkeypatch):
+    genus2 = groups.surface_group(2)
+    wm = metrics.WordMetric(genus2)
+    calls, validate = [], automaton.validate_bijection
+    monkeypatch.setattr(
+        automaton, "validate_bijection",
+        lambda aut, n, *args: calls.append(n) or validate(aut, n, *args),
+    )
+    first = counting.count_ball(wm, 4)
+    assert counting.count_ball(wm, 4).sphere_sizes == first.sphere_sizes
+    assert counting.count_ball(wm, 3).sphere_sizes == first.sphere_sizes[:4]
+    assert calls == [4]
+    counting.count_ball(wm, 5)  # beyond the radius checked: checked again
+    assert calls == [4, 5]
