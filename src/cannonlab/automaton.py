@@ -1,15 +1,14 @@
-"""Geodesic automata for the supported groups.
+"""Shortlex acceptors for the supported groups.
 
-Every supported group is free or small cancellation.  Its acceptor is the
-minimized pattern-avoidance automaton of the reduced words that contain
-no forbidden subword: none longer than half a symmetrized relator, and for
-the shortlex acceptor no exact half whose complement is shortlex-smaller.
-That these words are exactly the (shortlex) geodesics is not assumed:
-validate_bijection checks it against brute-force enumeration through the
-word problem.
+Every supported group is free or small cancellation.  Its acceptor is
+built from word differences: the subset construction over the competing
+words that could spell a prefix's element shorter or shortlex-smaller,
+minimized.  That the accepted words are exactly the shortlex geodesics is
+not assumed: validate_bijection checks it against brute-force enumeration
+through the word problem.
 
-Paths from the initial state spell geodesic words; with the shortlex
-flag, exactly one accepted word per group element.
+Paths from the initial state spell shortlex geodesics, exactly one
+accepted word per group element.
 """
 from __future__ import annotations
 
@@ -19,7 +18,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import Element, GroupPresentation, ResourceCapError, Word
+from .groups import (Element, GroupPresentation, ResourceCapError, Word,
+                     invert_word)
 
 IDENTITY_LABEL = 0  # letters are +-1..+-rank, so no acceptor edge carries it
 
@@ -45,8 +45,6 @@ class GeodesicAutomaton:
     n_states: int
     initial: int
     transitions: tuple  # tuple over states of tuple[(label, target), ...]
-    accepts_all_geodesics: bool
-    shortlex_unique: bool
 
     # -- basic structure ---------------------------------------------------
 
@@ -161,15 +159,11 @@ class GeodesicAutomaton:
 
     def to_json(self) -> str:
         doc = {
-            "schema": "geodesic-automaton/3",
+            "schema": "geodesic-automaton/4",
             "family": self.group.family,
             "generators": list(self.group.generator_names),
             "n_states": self.n_states,
             "initial": self.initial,
-            "flags": {
-                "accepts_all_geodesics": self.accepts_all_geodesics,
-                "shortlex_unique": self.shortlex_unique,
-            },
             "edges": [list(e) for e in self.edges()],
         }
         return json.dumps(doc, indent=1, sort_keys=True)
@@ -177,7 +171,7 @@ class GeodesicAutomaton:
     @staticmethod
     def from_json(text: str, group: GroupPresentation) -> "GeodesicAutomaton":
         doc = json.loads(text)
-        if doc.get("schema") != "geodesic-automaton/3":
+        if doc.get("schema") != "geodesic-automaton/4":
             raise AutomatonError("unknown automaton schema")
         n = doc["n_states"]
         rows: list[list] = [[] for _ in range(n)]
@@ -188,8 +182,6 @@ class GeodesicAutomaton:
             n_states=n,
             initial=doc["initial"],
             transitions=tuple(tuple(sorted(r)) for r in rows),
-            accepts_all_geodesics=doc["flags"]["accepts_all_geodesics"],
-            shortlex_unique=doc["flags"]["shortlex_unique"],
         )
 
 
@@ -243,77 +235,83 @@ def _minimize(rows: list[list], initial: int) -> tuple[list[list], int]:
     return out_rows, 0
 
 
-def _forbidden_grams(group, shortlex: bool) -> set:
-    """Subwords that cannot occur in a (shortlex) geodesic word: a free
-    cancellation (s, -s) and any subword longer than half a symmetrized
-    relator; with the shortlex flag, also any exact half whose complement
-    is letterwise smaller.  A free group has only the cancellations."""
-    grams = {(s, -s) for s in group.alphabet}
-    order = group._order
+_STATE_CAP = 20000  # subset states searched before minimization
+# how a competing word v compares with the word w read so far
+_EQUAL, _SMALLER, _LARGER, _ENDED = 0, -1, 1, 2
+
+
+def _differences(group) -> dict:
+    """Each spelling of a word difference mapped to its name: the identity,
+    the generators, and each subword u of a symmetrized relator r = u v,
+    named by the shortlex-least of u and v^-1 (the same element)."""
+    names = {(): (), **{(s,): (s,) for s in group.alphabet}}
     for r in group._rotations:
-        half = len(r) // 2
-        grams.add(r[: half + 1])
-        comp = tuple(-s for s in reversed(r[half:]))
-        if shortlex and len(r) % 2 == 0 and (
-            [order[s] for s in comp] < [order[s] for s in r[:half]]
-        ):
-            grams.add(r[:half])
-    return grams
+        for i in range(1, len(r)):
+            names[r[:i]] = min(r[:i], invert_word(r[i:]), key=group.shortlex_key)
+    return names
 
 
-def _build_by_trie(group, shortlex: bool, state_cap: int) -> tuple[list[list], int]:
-    """The pattern avoidance automaton (Aho & Corasick, CACM 1975) of the
-    words containing no forbidden gram.  A state is the longest suffix of
-    the word read that is a proper prefix of a gram (every letter is one,
-    so a state keeps the last letter); an edge is rejected when a gram ends
-    at its letter.  The trie bounds the state count before the search."""
-    grams = _forbidden_grams(group, shortlex)
-    prefixes = {g[:i] for g in grams for i in range(len(g))}
-    if len(prefixes) > state_cap:
-        raise ResourceCapError(f"{len(prefixes)} gram prefixes, cap {state_cap}")
-    queue: list[Word] = [()]  # states in order of discovery
-    state_of, rows = {(): 0}, []
-    for p in queue:
+def _build_by_differences(group) -> list[list]:
+    """The shortlex word acceptor from word differences (Epstein et al.,
+    Word Processing in Groups, 1992, ch. 2-3).  A state is the set of pairs
+    (d, flag) that a competing word v can reach, where d = w^-1 v over the
+    prefixes read and flag compares v with w.  On the letter x, (d, flag)
+    moves to x^-1 d y for each next letter y of v, or to x^-1 d once v has
+    ended, and only while the result is a named difference; names are
+    looked up by spelling, so no step solves the word problem.  An edge is
+    rejected when v reaches w's element smaller or ended.  More than
+    _STATE_CAP states raise ResourceCapError before minimization."""
+    names, order = _differences(group), group._order
+    flags = (_EQUAL, _SMALLER, _LARGER, _ENDED)
+    moves = {x: {(d, f): set() for d in names.values() for f in flags}
+             for x in group.alphabet}  # x -> (d, flag) -> the pairs it moves to
+    for spelling, d in names.items():
+        for x in group.alphabet:
+            left = spelling[1:] if spelling[:1] == (x,) else (-x,) + spelling
+            for y in (None,) + group.alphabet:  # None: v has ended
+                word = (left if y is None else left[:-1] if left[-1:] == (-y,)
+                        else left + (y,))
+                if word not in names:
+                    continue
+                if y is None:
+                    new = {f: _ENDED for f in flags}
+                else:  # an ended v reads no letter; else the first
+                    # letter at which v and w differ decides
+                    c = (order[y] > order[x]) - (order[y] < order[x])
+                    new = {f: f or c for f in (_EQUAL, _SMALLER, _LARGER)}
+                for flag, g in new.items():
+                    moves[x][d, flag].add((names[word], g))
+    rejected = {((), _SMALLER), ((), _ENDED)}
+    queue = [frozenset({((), _EQUAL)})]
+    state_of, rows = {queue[0]: 0}, []
+    for pairs in queue:
         rows.append([])
-        for s in group.alphabet:
-            u = p + (s,)
-            if any(u[i:] in grams for i in range(len(u))):
+        for x in group.alphabet:
+            nxt = frozenset().union(*map(moves[x].__getitem__, pairs))
+            if nxt & rejected:
                 continue
-            q = next(u[i:] for i in range(len(u) + 1) if u[i:] in prefixes)
-            if q not in state_of:
-                state_of[q] = len(queue)
-                queue.append(q)
-            rows[-1].append((s, state_of[q]))
-    return rows, 0
+            if nxt not in state_of:
+                if len(queue) == _STATE_CAP:
+                    raise ResourceCapError(f"more than {_STATE_CAP} subset states")
+                state_of[nxt] = len(queue)
+                queue.append(nxt)
+            rows[-1].append((x, state_of[nxt]))
+    return rows
 
 
-def _build(
-    presentation: GroupPresentation, shortlex: bool, state_cap: int
+def build_shortlex_acceptor(
+    presentation: GroupPresentation, r_cone=None
 ) -> GeodesicAutomaton:
-    rows, initial = _minimize(*_build_by_trie(presentation, shortlex, state_cap))
+    """The shortlex acceptor.  ``r_cone`` is ignored: no construction reads
+    a cone radius, and the parameter stays only so that callers written
+    as ``build_shortlex_acceptor(group, 1)`` keep working."""
+    rows, initial = _minimize(_build_by_differences(presentation), 0)
     return GeodesicAutomaton(
         group=presentation,
         n_states=len(rows),
         initial=initial,
         transitions=tuple(tuple(sorted(r)) for r in rows),
-        accepts_all_geodesics=not shortlex,
-        shortlex_unique=shortlex,
     )
-
-
-def build_geodesic_acceptor(
-    presentation: GroupPresentation, state_cap: int = 20000
-) -> GeodesicAutomaton:
-    return _build(presentation, shortlex=False, state_cap=state_cap)
-
-
-def build_shortlex_acceptor(
-    presentation: GroupPresentation, r_cone=None, state_cap: int = 20000
-) -> GeodesicAutomaton:
-    """The shortlex acceptor.  ``r_cone`` is ignored: no construction reads
-    a cone radius, and the parameter stays only so that callers written
-    as ``build_shortlex_acceptor(group, 1)`` keep working."""
-    return _build(presentation, shortlex=True, state_cap=state_cap)
 
 
 # -- validation --------------------------------------------------------------
@@ -346,27 +344,26 @@ def validate_bijection(
                 {"kind": "count_mismatch", "length": n,
                  "accepted": c, "expected": s},
             )
-    if aut.shortlex_unique:
-        # word i of level n is word parent[i] of level n - 1 times label[i];
-        # geodesic words of different lengths never collide
-        levels = list(aut.walk(n_max))
-        nfs: list[Word] = [()]
-        for n, level in enumerate(levels[1:], 1):
-            nfs = [group.extend(nfs[p], s)
-                   for p, s in zip(level.parent.tolist(), level.label.tolist())]
-            seen: set = set()
-            for i, nf in enumerate(nfs):
-                kind = ("non_geodesic_word" if len(nf) != n
-                        else "duplicate_element" if nf in seen else None)
-                if kind is not None:  # spell word i back along its parents
-                    word: Word = ()
-                    for lv in reversed(levels[1 : n + 1]):
-                        word, i = (int(lv.label[i]),) + word, int(lv.parent[i])
-                    return BijectionReport(
-                        False, n_max, counts, spheres,
-                        {"kind": kind, "word": group.word_to_str(word)},
-                    )
-                seen.add(nf)
+    # word i of level n is word parent[i] of level n - 1 times label[i];
+    # geodesic words of different lengths never collide
+    levels = list(aut.walk(n_max))
+    nfs: list[Word] = [()]
+    for n, level in enumerate(levels[1:], 1):
+        nfs = [group.extend(nfs[p], s)
+               for p, s in zip(level.parent.tolist(), level.label.tolist())]
+        seen: set = set()
+        for i, nf in enumerate(nfs):
+            kind = ("non_geodesic_word" if len(nf) != n
+                    else "duplicate_element" if nf in seen else None)
+            if kind is not None:  # spell word i back along its parents
+                word: Word = ()
+                for lv in reversed(levels[1 : n + 1]):
+                    word, i = (int(lv.label[i]),) + word, int(lv.parent[i])
+                return BijectionReport(
+                    False, n_max, counts, spheres,
+                    {"kind": kind, "word": group.word_to_str(word)},
+                )
+            seen.add(nf)
     return BijectionReport(True, n_max, counts, spheres)
 
 

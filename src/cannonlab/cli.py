@@ -305,7 +305,7 @@ class Run:
         return self._solved[solve, i]
 
 
-AUTOMATON_CACHE = "automaton-cache/4"  # in the cache key; bump on a format change
+AUTOMATON_CACHE = "automaton-cache/5"  # in the cache key; bump on a format change
 
 
 def _automaton_digest(doc: dict) -> str:

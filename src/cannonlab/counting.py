@@ -72,7 +72,7 @@ def _acceptor(
         if not report.ok:
             raise CountingError(f"bijection check failed: {report.first_failure}")
         group._checked_acceptor = (automaton, n_max)
-    if automaton.group is not group or not automaton.shortlex_unique:
+    if automaton.group is not group:
         raise CountingError("balls are walked on a shortlex acceptor of the group")
     return automaton
 

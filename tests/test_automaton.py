@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from cannonlab import automaton, cli, groups, shift
+from cannonlab import automaton, cli, groups, metrics, shift, thermo
 
 
 def test_free_group_acceptor_has_five_states(free2_aut):
     assert free2_aut.n_states == 5
-    assert free2_aut.shortlex_unique
 
 
 def test_accepted_counts_match_sphere_sizes(free2_aut):
@@ -78,20 +77,50 @@ def test_surface_acceptor_validates(genus2_aut):
     assert report.ok
 
 
-def test_surface_geodesic_acceptor_counts_all_geodesics(genus2):
-    acceptor = automaton.build_geodesic_acceptor(genus2)
-    counts = acceptor.accepted_counts(4)
-    # several geodesic spellings per element once relator halves interact
-    assert counts[:4] == [1, 8, 56, 392]
-    assert counts[4] > len(genus2.sphere_words(4))
+def _cannon_series(genus, n_max):
+    """The growth series of the genus-g surface group in its standard
+    presentation (Cannon; Floyd & Plotnick, Invent. Math. 88, 1987) to
+    order n_max: (1 + 2x + ... + 2x^(2g-1) + x^2g) over
+    (1 - (4g-2)x - ... - (4g-2)x^(2g-1) + x^2g)."""
+    num = [1] + [2] * (2 * genus - 1) + [1]
+    den = [1] + [-(4 * genus - 2)] * (2 * genus - 1) + [1]
+    out = []
+    for k in range(n_max + 1):
+        out.append((num[k] if k < len(num) else 0) - sum(
+            den[j] * out[k - j] for j in range(1, min(k, 2 * genus) + 1)))
+    return out
+
+
+@pytest.mark.parametrize("genus,n_states", [(2, 36), (3, 90), (4, 196)])
+def test_surface_acceptor_counts_match_the_growth_series(genus, n_states):
+    # the counts obey a recurrence of order n_states and the series one of
+    # order 2g, so agreement to n_states + 2g + 1 is agreement at every radius
+    aut = automaton.build_shortlex_acceptor(groups.surface_group(genus))
+    assert aut.n_states == n_states
+    n_max = n_states + 2 * genus + 1
+    assert aut.accepted_counts(n_max) == _cannon_series(genus, n_max)
+
+
+@pytest.mark.parametrize("relator,n_max", [("aaBBaaBB", 7), ("ABabAABabA", 9)])
+def test_two_generator_acceptors_validate(relator, n_max):
+    group = groups.SmallCancellationGroup(["a", "b"], [relator])
+    report = automaton.validate_bijection(automaton.build_shortlex_acceptor(group), n_max)
+    assert report.ok, report.first_failure
+
+
+def test_genus2_word_growth_rate_is_exact(genus2_aut, genus2):
+    # log of the largest root of x^4 - 6x^3 - 6x^2 - 6x + 1
+    comp = shift.word_maximal_components(genus2_aut)[0]
+    pot = thermo.cylinder_potential(metrics.WordMetric(genus2), 1)
+    assert abs(thermo.growth_rate(genus2_aut, comp, pot) - 1.9430253891644975) < 1e-12
 
 
 def test_json_round_trip(free2_aut, free2):
     text = free2_aut.to_json()
     doc = json.loads(text)
-    assert doc["schema"] == "geodesic-automaton/3"
+    assert doc["schema"] == "geodesic-automaton/4"
     assert "r_cone" not in doc
-    assert "zero_state" not in doc and "augmented" not in doc["flags"]
+    assert "zero_state" not in doc and "flags" not in doc
     back = automaton.GeodesicAutomaton.from_json(text, free2)
     assert back.transitions == free2_aut.transitions
     assert back.to_json() == text
@@ -120,33 +149,30 @@ def test_schottky_acceptor_matches_free_structure(schottky_aut):
 
 
 def test_state_cap_is_enforced(genus2, monkeypatch):
-    # the trie's size is known from the grams: the cap fires before the search
+    # the cap fires in the subset search, before minimization
     def never(rows, initial):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(automaton, "_minimize", never)
+    monkeypatch.setattr(automaton, "_STATE_CAP", 3)
     with pytest.raises(groups.ResourceCapError):
-        automaton.build_shortlex_acceptor(genus2, 2, state_cap=3)
+        automaton.build_shortlex_acceptor(genus2, 2)
 
 
-# sha256 prefixes of the canonical automaton JSON (schema /3), one per
-# flag: the automata of the suffix-window search, which the trie must
-# build again
-GENUS2_DIGESTS = {True: "df6b82b43ceb37e7", False: "25d834934084f665"}
+# sha256 prefix of the canonical genus-2 automaton JSON (schema /4)
+GENUS2_DIGEST = "578097f9aeee8c45"
 
 
-@pytest.mark.parametrize("shortlex,r_cone", [(s, r) for s in (False, True) for r in (1, 2)])
-def test_genus2_acceptors_are_pinned(genus2, shortlex, r_cone):
-    # r_cone is the radius older callers pass: the shortlex builder takes
-    # and ignores it, the geodesic builder takes none
-    aut = (automaton.build_shortlex_acceptor(genus2, r_cone) if shortlex
-           else automaton.build_geodesic_acceptor(genus2))
-    assert aut.n_states == (31 if shortlex else 57)
+@pytest.mark.parametrize("r_cone", [1, 2])
+def test_genus2_acceptors_are_pinned(genus2, r_cone):
+    # r_cone is the radius older callers pass: the builder takes and ignores it
+    aut = automaton.build_shortlex_acceptor(genus2, r_cone)
+    assert aut.n_states == 36
     digest = cli._automaton_digest(json.loads(aut.to_json()))
-    assert digest.startswith(GENUS2_DIGESTS[shortlex])
+    assert digest.startswith(GENUS2_DIGEST)
 
 
-def test_trie_size_does_not_depend_on_the_cone_radius(genus2, monkeypatch):
+def test_raw_size_does_not_depend_on_the_cone_radius(genus2, monkeypatch):
     raw, minimize = [], automaton._minimize
 
     def spy(rows, initial):
@@ -156,7 +182,7 @@ def test_trie_size_does_not_depend_on_the_cone_radius(genus2, monkeypatch):
     monkeypatch.setattr(automaton, "_minimize", spy)
     for r in (1, 2, 3):
         automaton.build_shortlex_acceptor(genus2, r)
-    assert raw == [49, 49, 49]
+    assert raw == [138, 138, 138]
 
 
 def _level_words(levels):

@@ -174,7 +174,7 @@ def test_automaton_cache_is_reused(tmp_path, free_pair_cfg):
     "damage",
     [
         lambda text: text[: len(text) // 2],  # truncated JSON
-        lambda text: text.replace("geodesic-automaton/2", "geodesic-automaton/0"),
+        lambda text: text.replace("geodesic-automaton/", "geodesic-automaton/0"),
         lambda text: json.dumps({"build": {}, "edges": "none"}),
         lambda text: "[]",
     ],
@@ -291,10 +291,15 @@ def test_warm_report_does_no_dehn_work(tmp_path, monkeypatch, config):
     assert artifacts(out) == cold
 
 
+def generators_only(group):
+    """The identity and the generators as the only word differences."""
+    return {w: w for w in [()] + [(s,) for s in group.alphabet]}
+
+
 def test_failed_validation_exits_2_and_is_not_cached(tmp_path, monkeypatch):
-    # the geodesic grams under the shortlex flag: more words than elements
-    real = automaton._forbidden_grams
-    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: real(g, False))
+    # with only the generators as differences the acceptor takes every
+    # reduced word: more words than elements
+    monkeypatch.setattr(automaton, "_differences", generators_only)
     cfg = write_config(
         tmp_path,
         {"group": {"family": "surface", "genus": 2}, "automaton": {"n_validate": 4}},
@@ -312,9 +317,8 @@ def test_failed_validation_exits_2_and_is_not_cached(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["growth", "count", "report"])
 def test_no_stage_runs_on_a_failed_acceptor(tmp_path, monkeypatch, command):
-    # under the geodesic grams genus 2 has growth 1.945..., not its own
-    real = automaton._forbidden_grams
-    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: real(g, False))
+    # on the reduced words genus 2 has growth log 7, not its own
+    monkeypatch.setattr(automaton, "_differences", generators_only)
     cfg = write_config(
         tmp_path,
         {"group": {"family": "surface", "genus": 2}, "automaton": {"n_validate": 4}},

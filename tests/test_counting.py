@@ -224,6 +224,8 @@ def test_enumeration_runs_without_the_word_problem(log3, monkeypatch):
     monkeypatch.setattr(groups.FreeGroup, "normal_form", forbidden)
     res = counting.poincare_compare(free2_aut, wm, log3 + 0.1, 8)
     assert res.max_rel_mismatch < 1e-12
+    # nor does building an acceptor from word differences
+    assert automaton.build_shortlex_acceptor(groups.surface_group(2)).n_states == 36
     assert len(counting.count_ball(d, 8).distances) == 1 + 2 * (3 ** 8 - 1)
     assert len(counting.correlate(d, d_star, 0.5, 8).d_values) == 1 + 2 * (3 ** 8 - 1)
 
@@ -329,20 +331,20 @@ def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(monkeypatc
     assert len(calls) == 1  # the passing check to radius 2 is kept
     assert np.array_equal(rep.d_values, np.concatenate(want_word))
     assert np.array_equal(rep.dstar_values, np.concatenate(want_green))
-    # the geodesic grams under the shortlex flag: more words than elements
-    # from length 4 on, so the check to radius 4 fails and nothing is counted
-    grams = automaton._forbidden_grams
-    monkeypatch.setattr(automaton, "_forbidden_grams", lambda g, shortlex: grams(g, False))
+    # with only the generators as differences the acceptor takes every
+    # reduced word: more words than elements from length 4 on, so the check
+    # to radius 4 fails and nothing is counted
+    monkeypatch.setattr(
+        automaton, "_differences",
+        lambda g: {w: w for w in [()] + [(s,) for s in g.alphabet]},
+    )
     with pytest.raises(counting.CountingError, match="count_mismatch"):
         counting.count_ball(wm, 4)
     with pytest.raises(counting.CountingError, match="count_mismatch"):
         counting.correlate(wm, green, 0.5, 4)
 
 
-def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(genus2, free2_aut):
-    geodesic = automaton.build_geodesic_acceptor(genus2)
-    with pytest.raises(counting.CountingError):
-        counting.count_ball(metrics.WordMetric(genus2), 3, automaton=geodesic)
+def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(free2_aut):
     other_free2 = groups.FreeGroup(2)
     with pytest.raises(counting.CountingError):
         counting.count_ball(metrics.WordMetric(other_free2), 3, automaton=free2_aut)

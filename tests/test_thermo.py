@@ -333,8 +333,6 @@ def _parallel_edge_automaton(free2):
         n_states=2,
         initial=0,
         transitions=(((1, 1), (2, 1)), ((-2, 0), (1, 0), (2, 1))),
-        accepts_all_geodesics=False,
-        shortlex_unique=False,
     )
 
 
@@ -538,7 +536,6 @@ def _bipartite_automaton(m):
     return automaton.GeodesicAutomaton(
         group=free2, n_states=2 * m + 1, initial=0,
         transitions=tuple(tuple(sorted(r)) for r in rows),
-        accepts_all_geodesics=False, shortlex_unique=True,
     )
 
 
