@@ -67,6 +67,15 @@ DEFAULT_CONFIG = {
 }
 
 
+# the keys that each group family and metric kind defines besides its name;
+# each other section defines the keys of its defaults
+FAMILY_KEYS = {"free": ["rank"], "surface": ["genus"], "schottky": ["traces", "matrices"],
+               "small_cancellation": ["generators", "relators"]}
+KIND_KEYS = {"word": [], "scaled_word": ["factor"], "green_closed_form": [],
+             "green_numeric": ["absorbing_radius", "safety_margin"],
+             "fuchsian_orbit": [], "linear_combination": ["terms"]}
+
+
 # command-line flags: (name, type, config section, key, help)
 FLAGS = [
     ("depth", int, "thermo", "depth", "potential depth"),
@@ -124,6 +133,39 @@ def _matrices(value) -> list:
     return mats
 
 
+def _check_keys(spec, allowed, where: str) -> None:
+    unknown = sorted(set(spec) - set(allowed)) if isinstance(spec, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _check_grammar(user: dict) -> None:
+    """Every key of the user's config must be defined by its section, group
+    family or metric kind, the metrics in ``terms`` included.  Checked
+    before the merge, which would add the default group's keys to a group
+    of another family.  A malformed section, or a spec of an unknown family
+    or kind, is left to the checks that follow."""
+    _check_keys(user, DEFAULT_CONFIG, "the config")
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and section != "group":
+            _check_keys(user.get(section), default, section)
+    group, metrics = user.get("group"), user.get("metrics")
+    family = {"family": DEFAULT_CONFIG["group"]["family"]}
+    specs = [({**family, **group}, "family")] if isinstance(group, dict) else []
+    specs += [(m, "kind") for m in metrics] if isinstance(metrics, list) else []
+    while specs:
+        spec, tag = specs.pop()
+        name = spec.get(tag) if isinstance(spec, dict) else None
+        keys = FAMILY_KEYS if tag == "family" else KIND_KEYS
+        if not isinstance(name, str) or name not in keys:
+            continue
+        _check_keys(spec, [tag, *keys[name]], f"{tag} {name!r}")
+        terms = spec.get("terms") if name == "linear_combination" else None
+        for term in terms if isinstance(terms, list) else []:
+            if isinstance(term, list) and len(term) == 2:
+                specs.append((term[1], "kind"))
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -144,6 +186,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_grammar(user)
         cfg = _merge(cfg, user)
     for section, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(cfg[section], dict):

@@ -26,6 +26,7 @@ from .thermo import CylinderPotential, TransferOperator
 
 DEFAULT_BALL_CAP = 20_000_000
 GRID_POINTS = 120
+OSCILLATION = 0.05  # relative spread of N(T)e^{-delta T} over the last third
 
 
 class CountingError(Exception):
@@ -277,11 +278,7 @@ def _linregress(x, y) -> tuple[float, float, float]:
     return slope, np.mean(y) - slope * np.mean(x), stderr
 
 
-def fit_asymptotic(
-    report: CountReport,
-    delta_hint: Optional[float] = None,
-    oscillation_threshold: float = 0.05,
-) -> FitResult:
+def fit_asymptotic(report: CountReport, delta_hint: Optional[float] = None) -> FitResult:
     """Fit N(T) ~ C e^{delta T} over the covered range.
 
     delta comes from the hint (a pressure-equation growth rate) when given,
@@ -315,7 +312,7 @@ def fit_asymptotic(
         t_grid=grid,
         residuals=scaled / c_ratio - 1.0,
         variation=variation,
-        oscillation=bool(variation > oscillation_threshold or gap > 0.02),
+        oscillation=bool(variation > OSCILLATION or gap > 0.02),
         estimator_gap=gap,
     )
     report.fitted = result

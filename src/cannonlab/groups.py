@@ -18,7 +18,7 @@ import numpy as np
 Word = tuple  # tuple[int, ...]
 
 DEFAULT_SPHERE_CAP = 20_000_000
-DEFAULT_CLOSURE_CAP = 4096
+CLOSURE_CAP = 4096  # words in one normal form's half-exchange closure
 
 
 class GroupError(Exception):
@@ -78,39 +78,17 @@ class Element:
     def inverse(self) -> "Element":
         return self.group.element(invert_word(self.word))
 
-    def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.group.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __str__(self) -> str:
         return self.group.word_to_str(self.word)
 
 
 @dataclass(frozen=True)
 class ConjClass:
-    """A conjugacy class keyed by a canonical representative.
-
-    ``resolved`` is False when the representative came from a bounded
-    search below the documented safe radius; such classes compare equal
-    only optimistically and callers are expected to check the flag.
-    """
+    """A conjugacy class of a free group, keyed by its canonical
+    representative (``FreeGroup.canonical_class``)."""
 
     representative: Element
     is_torsion: bool
-    resolved: bool = True
-    search_radius: int = 0
-
-    @property
-    def length(self) -> int:
-        return self.representative.length
 
 
 class GroupPresentation:
@@ -240,20 +218,6 @@ class GroupPresentation:
             out.extend(self._spheres[k])
         return out
 
-    # -- conjugacy ---------------------------------------------------------
-
-    def canonical_class(self, g: Element, search_radius: int = 0) -> ConjClass:
-        raise NotImplementedError
-
-    def enumerate_classes(
-        self, n_max: int, search_radius: int = 0, cap: int = DEFAULT_SPHERE_CAP
-    ) -> list[ConjClass]:
-        seen: dict[Word, ConjClass] = {}
-        for w in self.ball_words(n_max, cap):
-            c = self.canonical_class(Element(self, w), search_radius)
-            seen.setdefault(c.representative.word, c)
-        return sorted(seen.values(), key=lambda c: self.shortlex_key(c.representative.word))
-
 
 class FreeGroup(GroupPresentation):
     family = "free"
@@ -282,13 +246,26 @@ class FreeGroup(GroupPresentation):
             word = word[1:-1]
         return word
 
-    def canonical_class(self, g: Element, search_radius: int = 0) -> ConjClass:
+    # -- conjugacy ---------------------------------------------------------
+
+    def canonical_class(self, g: Element) -> ConjClass:
+        """The class of g, represented by the shortlex-least rotation of its
+        cyclic reduction."""
         w = self.cyclic_reduce(g.word)
         if not w:
             return ConjClass(self.identity(), is_torsion=True)
         rotations = [w[i:] + w[:i] for i in range(len(w))]
         rep = min(rotations, key=self.shortlex_key)
         return ConjClass(Element(self, rep), is_torsion=False)
+
+    def enumerate_classes(self, n_max: int, cap: int = DEFAULT_SPHERE_CAP) -> list[ConjClass]:
+        """The classes met in the ball of radius n_max, one per
+        representative, in shortlex order."""
+        seen: dict[Word, ConjClass] = {}
+        for w in self.ball_words(n_max, cap):
+            c = self.canonical_class(Element(self, w))
+            seen.setdefault(c.representative.word, c)
+        return sorted(seen.values(), key=lambda c: self.shortlex_key(c.representative.word))
 
 
 class SmallCancellationGroup(GroupPresentation):
@@ -301,14 +278,8 @@ class SmallCancellationGroup(GroupPresentation):
 
     family = "small_cancellation"
 
-    def __init__(
-        self,
-        generator_names: Sequence[str],
-        relators: Sequence[str],
-        closure_cap: int = DEFAULT_CLOSURE_CAP,
-    ):
+    def __init__(self, generator_names: Sequence[str], relators: Sequence[str]):
         super().__init__(generator_names)
-        self.closure_cap = closure_cap
         self.relator_words: list[Word] = []
         rotations: set[Word] = set()
         for text in relators:
@@ -320,7 +291,6 @@ class SmallCancellationGroup(GroupPresentation):
                 for i in range(len(base)):
                     rotations.add(base[i:] + base[:i])
         self._rotations = sorted(rotations, key=self.shortlex_key)
-        self.max_relator_len = max(len(r) for r in self.relator_words)
         self._check_sixth()
         # gram prefilters, grouped by relator length
         self._gt_grams: dict[int, set] = {}
@@ -415,50 +385,12 @@ class SmallCancellationGroup(GroupPresentation):
                         break
                     seen.add(v)
                     queue.append(v)
-                if len(seen) > self.closure_cap:
+                if len(seen) > CLOSURE_CAP:
                     raise ResourceCapError("normal-form closure exceeded cap")
             if shorter is not None:
                 w = shorter
                 continue
             return min(seen, key=self.shortlex_key)
-
-    # -- conjugacy ---------------------------------------------------------
-
-    def _cyclic_dehn_reduce(self, word: Word) -> Word:
-        w = self.normal_form(word)
-        while True:
-            candidates = [
-                self.normal_form(w[i:] + w[:i]) for i in range(max(len(w), 1))
-            ]
-            best = min(candidates, key=self.shortlex_key)
-            best = self.normal_form(FreeGroup.cyclic_reduce(best))
-            if len(best) < len(w):
-                w = best
-                continue
-            return best
-
-    def safe_conjugacy_radius(self) -> int:
-        return 2 * self.max_relator_len
-
-    def canonical_class(self, g: Element, search_radius: int = 0) -> ConjClass:
-        w = self._cyclic_dehn_reduce(g.word)
-        if not w:
-            return ConjClass(self.identity(), is_torsion=True,
-                             search_radius=search_radius)
-        best = w
-        for h in self.ball_words(search_radius):
-            cand = self._cyclic_dehn_reduce(
-                invert_word(h) + w + h
-            )
-            if self.shortlex_key(cand) < self.shortlex_key(best):
-                best = cand
-        resolved = search_radius >= self.safe_conjugacy_radius()
-        return ConjClass(
-            Element(self, best),
-            is_torsion=False,
-            resolved=resolved,
-            search_radius=search_radius,
-        )
 
 
 def surface_group(genus: int = 2) -> SmallCancellationGroup:

@@ -381,54 +381,33 @@ class LinearCombination(MetricModel):
 @dataclass(frozen=True)
 class TranslationLength:
     value: float
-    error_bar: float
     method: str
-    low_confidence: bool = False
 
     @property
     def is_torsion(self) -> bool:
         # class is torsion exactly when the translation length vanishes
-        return self.value < 10.0 * max(self.error_bar, 1e-12)
+        return self.value < 1e-11
 
 
-def translation_length(
-    metric: MetricModel, c: ConjClass, power_cap: int = 64
-) -> TranslationLength:
-    """lim d(o, g^m)/m for the class representative."""
+def translation_length(metric: MetricModel, c: ConjClass) -> TranslationLength:
+    """lim d(o, g^m)/m for the class representative, in closed form: the
+    cyclic length times the step of a radial metric on a free group, or
+    2 acosh(|tr|/2) for the Fuchsian orbit metric.  Any other metric has no
+    closed form here and raises MetricError."""
     g = c.representative
     if g.length == 0:
-        return TranslationLength(0.0, 0.0, "identity")
+        return TranslationLength(0.0, "identity")
     group = metric.group
     if metric.radial_step is not None and isinstance(group, FreeGroup):
         w = FreeGroup.cyclic_reduce(g.word)
-        return TranslationLength(
-            metric.radial_step * len(w), 0.0, "cyclic_length"
-        )
+        return TranslationLength(metric.radial_step * len(w), "cyclic_length")
     if isinstance(metric, FuchsianOrbit):
         (a, _, _, d), log_scale = metric._product(FreeGroup.cyclic_reduce(g.word))
         half_tr = abs(a + d) * math.exp(log_scale) / 2.0
         if half_tr <= 1.0:
-            return TranslationLength(0.0, 0.0, "trace")
-        return TranslationLength(2.0 * math.acosh(half_tr), 0.0, "trace")
-    # generic: Richardson extrapolation of d(o, g^m)/m along m = 2^j
-    powers = []
-    m = 2
-    while m <= power_cap:
-        powers.append(m)
-        m *= 2
-    if len(powers) < 3:
-        raise MetricError("power_cap too small for extrapolation")
-    raw = []
-    gm = g
-    last_m = 1
-    for m in powers:
-        gm = gm * gm if m == 2 * last_m else g ** m
-        last_m = m
-        raw.append(metric.dist(gm) / m)
-    # d(o,g^m) = m*l + O(1), so 2*a_{2m} - a_m cancels the 1/m term
-    extr = [2.0 * raw[i + 1] - raw[i] for i in range(len(raw) - 1)]
-    value = extr[-1]
-    err = max(abs(extr[-1] - extr[-2]), abs(raw[-1] - extr[-1]) * 0.1)
-    return TranslationLength(
-        max(value, 0.0), err, "richardson", low_confidence=err > 1e-2
+            return TranslationLength(0.0, "trace")
+        return TranslationLength(2.0 * math.acosh(half_tr), "trace")
+    raise MetricError(
+        f"no closed-form translation length for the {metric.kind} metric "
+        f"on a {group.family} group"
     )

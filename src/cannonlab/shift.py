@@ -17,6 +17,11 @@ import scipy.sparse.csgraph
 from .automaton import GeodesicAutomaton
 from .groups import ConjClass, FreeGroup, ResourceCapError, Word, invert_word
 
+GROWTH_TIE = 1e-9  # log growths this close to the top count as maximal
+ORBIT_LEVEL_CAP = 2_000_000  # paths of one length in one anchor's walk
+ORBIT_SUM_TOL = 1e-8  # orbit sums and gcd remainders at most this are zero
+LATTICE_GAP = 1e-4  # the least gap that can make a lattice verdict
+
 
 class ShiftError(Exception):
     pass
@@ -38,10 +43,6 @@ class Component:
 class PeriodicOrbit:
     vertices: tuple  # (x_0, ..., x_{l-1}), closing edge x_{l-1} -> x_0
     labels: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
 
 
 def scc_decompose(aut: GeodesicAutomaton) -> list[Component]:
@@ -122,15 +123,13 @@ def _growing_components(aut: GeodesicAutomaton) -> list[Component]:
     return [c for c in scc_decompose(aut) if not c.trivial]
 
 
-def word_maximal_components(
-    aut: GeodesicAutomaton, tol: float = 1e-9
-) -> list[Component]:
+def word_maximal_components(aut: GeodesicAutomaton) -> list[Component]:
     comps = _growing_components(aut)
     if not comps:
         raise ShiftError("no nontrivial components")
     growths = [component_growth(aut, c) for c in comps]
     top = max(growths)
-    return [c for c, g in zip(comps, growths) if g >= top - tol]
+    return [c for c, g in zip(comps, growths) if g >= top - GROWTH_TIE]
 
 
 def reachable_between(
@@ -202,10 +201,6 @@ class LoopWitness:
     N: int
     sign: int
 
-    @property
-    def length(self) -> int:
-        return self.orbit.length
-
 
 def loops_realizing_class(
     aut: GeodesicAutomaton,
@@ -217,31 +212,24 @@ def loops_realizing_class(
     """Find a periodic orbit in the component whose evaluation is conjugate
     to a power g^{+-N}, N <= N_max, orbit length <= l_max.  Searches in
     increasing N, positive sign first; returns the first witness.  A miss
-    only means the bounded search failed, not that no loop exists."""
+    only means the bounded search failed, not that no loop exists.
+    Conjugacy classes are computed on free groups only."""
     group = aut.group
+    if not isinstance(group, FreeGroup):
+        raise ShiftError(f"no conjugacy classes on a {group.family} group")
     if c.representative.length == 0 or c.is_torsion:
         raise ShiftError("torsion class has no realizing loop")
-    target = group.canonical_class(c.representative).representative.word
     for N in range(1, N_max + 1):
         for sign in (1, -1):
             base = c.representative.word if sign == 1 else invert_word(
                 c.representative.word
             )
-            powered = group.normal_form(base * N)
-            if isinstance(group, FreeGroup):
-                powered = FreeGroup.cyclic_reduce(powered)
+            powered = group.cyclic_reduce(base * N)
             if not powered or len(powered) > l_max:
                 continue
             w = _find_label_cycle(aut, comp, powered)
-            if w is not None:
-                orbit_el = group.canonical_class(
-                    group.element(w.labels)
-                ).representative.word
-                want = group.canonical_class(
-                    group.element(powered)
-                ).representative.word
-                if orbit_el == want:
-                    return LoopWitness(w, N, sign)
+            if w is not None:  # its labels are a rotation of powered
+                return LoopWitness(w, N, sign)
     return None
 
 
@@ -289,9 +277,6 @@ class ArithmeticityReport:
     max_residual: float
     n_orbits: int  # the closed paths of 1..l_max edges, each anchored once
     sample_values: list = field(default_factory=list)
-
-
-ORBIT_LEVEL_CAP = 2_000_000  # paths of one length in one anchor's walk
 
 
 def _orbit_sums(
@@ -352,12 +337,7 @@ def _orbit_sums(
 
 
 def arithmeticity(
-    aut: GeodesicAutomaton,
-    comp: Component,
-    potential,
-    l_max: int = 6,
-    tol: float = 1e-8,
-    gap_threshold: float = 1e-4,
+    aut: GeodesicAutomaton, comp: Component, potential, l_max: int = 6
 ) -> ArithmeticityReport:
     """Do the Birkhoff sums of the potential over periodic orbits lie in
     a common lattice a*Z?  The sums are those of every closed path of
@@ -367,20 +347,20 @@ def arithmeticity(
     sums = _orbit_sums(aut, comp, potential, l_max)
     n_orbits = len(sums)
     values = sorted({round(v, 14) for v in np.unique(sums).tolist()})
-    values = [v for v in values if abs(v) > tol]
+    values = [v for v in values if abs(v) > ORBIT_SUM_TOL]
     if len(values) < 2:
         return ArithmeticityReport("inconclusive", 0.0, 0.0, n_orbits)
     g = values[0]
     for v in values[1:]:
-        g = _real_gcd(g, v, tol)
-        if g <= tol:
+        g = _real_gcd(g, v, ORBIT_SUM_TOL)
+        if g <= ORBIT_SUM_TOL:
             break
     sample = values[:12]
-    if g > gap_threshold:
+    if g > LATTICE_GAP:
         resid = max(
             abs(v - g * round(v / g)) for v in values
         )
-        if resid <= max(100 * tol, 1e-12 * max(values)):
+        if resid <= max(100 * ORBIT_SUM_TOL, 1e-12 * max(values)):
             return ArithmeticityReport(
                 "lattice", g, resid, n_orbits, sample
             )

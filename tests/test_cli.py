@@ -330,19 +330,80 @@ def test_no_stage_runs_on_a_failed_acceptor(tmp_path, monkeypatch, command):
     assert written == expected
 
 
-def test_retired_automaton_keys_are_ignored(tmp_path):
-    payloads = []
-    for name, spec in [("plain", {}), ("retired", {"r_cone": 2, "radii": [1]})]:
-        cfg = write_config(tmp_path, {"automaton": spec})
-        code, out = run(tmp_path / name, "automaton", "--config", cfg)
-        assert code == 0
-        docs = {}
-        for artifact in ("automaton.json", "bijection.json"):
-            with open(os.path.join(out, artifact)) as fh:
-                docs[artifact] = json.load(fh)
-            docs[artifact].pop("header")
-        payloads.append(docs)
-    assert payloads[0] == payloads[1]
+def test_retired_automaton_keys_exit_2(tmp_path, capsys):
+    for key, value in [("r_cone", 2), ("radii", [1])]:
+        cfg = write_config(tmp_path, {"automaton": {key: value}})
+        code, _ = run(tmp_path, "automaton", "--config", cfg)
+        assert code == 2
+        assert f"unknown key {key!r} in automaton" in capsys.readouterr().err
+
+
+SCHOTTKY_MATRICES = [[[2, 1], [1, 1]], [[16, -80.5], [2, -10]]]
+UNKNOWN_KEYS = {  # a valid spec of each section, family and kind, plus a stray key
+    "top_level": ("countng", {"countng": {"n_max": 5}}),
+    "automaton": ("n_valdiate", {"automaton": {"n_valdiate": 3}}),
+    "thermo": ("dpeth", {"thermo": {"depth": 2, "dpeth": 3}}),
+    "counting": ("nmax", {"counting": {"nmax": 5}}),
+    "scan": ("t_mni", {"scan": {"t_mni": 0.5}}),
+    "manhattan": ("point", {"manhattan": {"point": 5}}),
+    "free": ("genus", {"group": {"family": "free", "rank": 2, "genus": 2}}),
+    "free_by_default": ("genus", {"group": {"genus": 3}}),
+    "surface": ("rank", {"group": {"family": "surface", "genus": 2, "rank": 4}}),
+    "small_cancellation": ("relator", {"group": {
+        "family": "small_cancellation", "generators": ["a", "b"],
+        "relators": ["A B a b A A B a b A"], "relator": "abab",
+    }}),
+    "schottky": ("rank", {"group": {"family": "schottky", "matrices": SCHOTTKY_MATRICES,
+                                    "rank": 2}}),
+    "word": ("factor", {"metrics": [{"kind": "word", "factor": 2.0}]}),
+    "scaled_word": ("scale", {"metrics": [{"kind": "scaled_word", "factor": 2.0, "scale": 2}]}),
+    "green_closed_form": ("walk", {"metrics": [{"kind": "green_closed_form", "walk": "x"}]}),
+    "green_numeric": ("absorbing_raduis", {"metrics": [
+        {"kind": "green_numeric", "absorbing_raduis": 8}
+    ]}),
+    "fuchsian_orbit": ("base_point", {"group": {"family": "schottky"}, "metrics": [
+        {"kind": "fuchsian_orbit", "base_point": [0, 1]}
+    ]}),
+    "linear_combination": ("term", {"metrics": [
+        {"kind": "linear_combination", "terms": [[1.0, {"kind": "word"}]], "term": []}
+    ]}),
+    "linear_combination_term": ("depth", {"metrics": [
+        {"kind": "linear_combination", "terms": [[1.0, {"kind": "word", "depth": 2}]]}
+    ]}),
+}
+
+
+@pytest.mark.parametrize("where", sorted(UNKNOWN_KEYS))
+def test_unknown_key_exits_2_and_is_named(tmp_path, where, capsys):
+    key, cfg = UNKNOWN_KEYS[where]
+    code, _ = run(tmp_path, "growth", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert f"ConfigError(\"unknown key '{key}'" in capsys.readouterr().err
+
+
+def readme_config_examples() -> list[dict]:
+    """Every JSON example of the README's config grammar: a whole config,
+    or a group spec, one to a line, wrapped as a config."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("### Config grammar (JSON)")[1].split("\n### ")[0]
+    examples = []
+    for block in section.split("```json\n")[1:]:
+        block = block.split("```")[0]
+        try:
+            examples.append(json.loads(block))
+        except json.JSONDecodeError:
+            examples += [{"group": json.loads(line)} for line in block.splitlines()]
+    return examples
+
+
+def test_readme_config_examples_load_and_build(tmp_path):
+    examples = readme_config_examples()
+    assert len(examples) == 6
+    for cfg in examples:
+        loaded = cli.load_config(write_config(tmp_path, cfg), None)
+        cli.build_group(loaded["group"])
 
 
 def test_artifacts_carry_config_hash(tmp_path, free_pair_cfg):

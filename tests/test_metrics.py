@@ -128,6 +128,12 @@ def test_translation_length_green_scales_word(free2):
     assert abs(t.value - 2.0 * math.log(3)) < 1e-9
 
 
+def test_translation_length_without_a_closed_form_raises(genus2):
+    c = groups.ConjClass(genus2.element((1, 2)), is_torsion=False)
+    with pytest.raises(metrics.MetricError, match="word metric on a small_cancellation"):
+        metrics.translation_length(metrics.WordMetric(genus2), c)
+
+
 def test_green_numeric_is_one_solve(genus2, monkeypatch):
     solves = []
     spsolve = scipy.sparse.linalg.spsolve

@@ -43,6 +43,27 @@ def test_cross_check_maximal_on_free_acceptor(free2_aut, free2, log3):
     assert abs(top) < 1e-9
 
 
+def test_maximal_components_that_reach_each_other_fail_the_check(free2):
+    """Two components of growth log 2, the first reaching the second: both
+    are maximal for words and for the potential, but not disjoint."""
+    aut = automaton.GeodesicAutomaton(free2, 3, 0, (
+        ((1, 1),),
+        ((1, 1), (2, 1), (-1, 2)),
+        ((-1, 2), (-2, 2)),
+    ))
+    pot = thermo.cylinder_potential(metrics.WordMetric(free2), 1)
+    res = shift.cross_check_maximal(aut, pot, np.log(2.0))
+    assert res.word_maximal == res.potential_maximal == [1, 2]
+    assert not res.disjoint and not res.ok
+
+
+def test_loops_realizing_class_needs_a_free_group(genus2_aut, genus2):
+    comp = shift.word_maximal_components(genus2_aut)[0]
+    c = groups.ConjClass(genus2.element((1, 2)), is_torsion=False)
+    with pytest.raises(shift.ShiftError, match="small_cancellation"):
+        shift.loops_realizing_class(genus2_aut, comp, c)
+
+
 def test_loops_realize_small_classes(free2_aut, free2_comp, free2):
     for w in [(1,), (1, 2), (1, 1, 2, -1)]:
         c = free2.canonical_class(free2.element(w))
