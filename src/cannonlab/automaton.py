@@ -4,8 +4,8 @@ Every supported group is free or small cancellation.  Its acceptor is
 built from word differences: the subset construction over the competing
 words that could spell a prefix's element shorter or shortlex-smaller,
 minimized.  That the accepted words are exactly the shortlex geodesics is
-not assumed: validate_bijection checks it against brute-force enumeration
-through the word problem.
+not assumed: validate_bijection compares them, one array per length, with
+the spheres that brute-force enumeration through the word problem grows.
 
 Paths from the initial state spell shortlex geodesics, exactly one
 accepted word per group element.
@@ -329,14 +329,16 @@ def validate_bijection(
     aut: GeodesicAutomaton, n_max: int, cap: Optional[int] = None
 ) -> BijectionReport:
     """Check that accepted words biject with group elements up to length
-    n_max: per-length counts match brute-force sphere sizes and evaluated
-    elements are pairwise distinct.  With a ``cap``, a ball of more than
-    cap accepted words raises ResourceCapError before any sphere is grown."""
+    n_max: per-length counts match brute-force sphere sizes, and the
+    accepted words of each length, in walk order, are exactly the rows of
+    ``group.sphere_array``, the normal forms in shortlex order.  With a
+    ``cap``, a ball of more than cap accepted words raises
+    ResourceCapError before any sphere is grown."""
     group = aut.group
     counts = aut.accepted_counts(n_max)
     if cap is not None and sum(counts) > cap:
         raise ResourceCapError(f"ball of radius {n_max} exceeds cap {cap}")
-    spheres = [len(group.sphere_words(n)) for n in range(n_max + 1)]
+    spheres = [len(group.sphere_array(n)) for n in range(n_max + 1)]
     for n, (c, s) in enumerate(zip(counts, spheres)):
         if c != s:
             return BijectionReport(
@@ -344,26 +346,28 @@ def validate_bijection(
                 {"kind": "count_mismatch", "length": n,
                  "accepted": c, "expected": s},
             )
-    # word i of level n is word parent[i] of level n - 1 times label[i];
-    # geodesic words of different lengths never collide
-    levels = list(aut.walk(n_max))
-    nfs: list[Word] = [()]
-    for n, level in enumerate(levels[1:], 1):
-        nfs = [group.extend(nfs[p], s)
-               for p, s in zip(level.parent.tolist(), level.label.tolist())]
-        seen: set = set()
-        for i, nf in enumerate(nfs):
-            kind = ("non_geodesic_word" if len(nf) != n
-                    else "duplicate_element" if nf in seen else None)
-            if kind is not None:  # spell word i back along its parents
-                word: Word = ()
-                for lv in reversed(levels[1 : n + 1]):
-                    word, i = (int(lv.label[i]),) + word, int(lv.parent[i])
-                return BijectionReport(
-                    False, n_max, counts, spheres,
-                    {"kind": kind, "word": group.word_to_str(word)},
-                )
-            seen.add(nf)
+    # word i of level n is word parent[i] of level n - 1 times label[i],
+    # and level n - 1 has already matched its sphere
+    prev, levels = group.sphere_array(0), aut.walk(n_max)
+    next(levels)  # the empty word
+    for level in levels:
+        sphere = group.sphere_array(level.length)
+        words = np.column_stack([prev[level.parent], level.label.astype(sphere.dtype)])
+        if not np.array_equal(words, sphere):  # name the level's first failure
+            seen: set = set()
+            for word in map(tuple, words.tolist()):
+                nf = group.extend(word[:-1], word[-1])
+                kind = ("non_geodesic_word" if len(nf) != len(word)
+                        else "duplicate_element" if nf in seen else None)
+                if kind is not None:
+                    break
+                seen.add(nf)
+            else:  # distinct geodesics, but not the shortlex ones
+                kind = "not_normal_form"
+                word = tuple(words[(words != sphere).any(axis=1)][0].tolist())
+            return BijectionReport(False, n_max, counts, spheres,
+                                   {"kind": kind, "word": group.word_to_str(word)})
+        prev = sphere
     return BijectionReport(True, n_max, counts, spheres)
 
 

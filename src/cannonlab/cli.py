@@ -223,6 +223,8 @@ def build_group(spec: dict) -> GroupPresentation:
         )
     if family == "schottky":
         if "matrices" in spec:
+            if "traces" in spec:
+                raise ConfigError("a schottky group takes 'traces' or 'matrices', not both")
             return SchottkyGroup(_field(spec, "matrices", _matrices))
         return standard_schottky(
             _field(spec, "traces", lambda ts: tuple(map(_real, ts)), (3.0, 5.0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,7 +108,9 @@ class GroupPresentation:
         )
         self._order = {s: j for j, s in enumerate(self.alphabet)}
         self._nf_cache: dict[Word, Word] = {}
-        self._spheres: list[list[Word]] = [[()]]
+        # letters and their shortlex ranks 1..2 rank fit this integer type
+        self._letters = np.min_scalar_type(-2 * self.rank - 1)
+        self._spheres: list[np.ndarray] = [np.zeros((1, 0), self._letters)]
         # (shortlex acceptor, radius) of the last passing bijection check
         # that counting ran without a given acceptor
         self._checked_acceptor: Optional[tuple] = None
@@ -179,44 +182,50 @@ class GroupPresentation:
 
     # -- enumeration -------------------------------------------------------
 
+    def _next_sphere(self, prev: np.ndarray) -> np.ndarray:
+        """The normal forms of length n as rows, possibly repeated, in any
+        order, from the sphere of length n - 1: each word times each letter
+        but the one that cancels its last, through the word problem."""
+        level = prev.shape[1] + 1
+        nxt = set()
+        for w in map(tuple, prev.tolist()):
+            back = -w[-1] if w else 0  # w * back is level - 2 long
+            for s in self.alphabet:
+                if s == back:
+                    continue
+                nf = self.extend(w, s)
+                if len(nf) == level:
+                    nxt.add(nf)
+                elif len(nf) > level:
+                    raise GroupError("normal form longer than BFS level; "
+                                     "presentation machinery inconsistent")
+        flat = np.fromiter(chain.from_iterable(nxt), self._letters, len(nxt) * level)
+        return flat.reshape(len(nxt), level)
+
     def _grow_spheres(self, n: int, cap: int) -> None:
         while len(self._spheres) <= n:
-            level = len(self._spheres)
-            nxt = set()
-            for w in self._spheres[-1]:
-                back = -w[-1] if w else 0  # w * back is level - 2 long
-                for s in self.alphabet:
-                    if s == back:
-                        continue
-                    nf = self.extend(w, s)
-                    if len(nf) == level:
-                        nxt.add(nf)
-                    elif len(nf) > level:
-                        raise GroupError(
-                            "normal form longer than BFS level; "
-                            "presentation machinery inconsistent"
-                        )
-                if len(nxt) > cap:
-                    raise ResourceCapError(
-                        f"sphere {level} exceeds cap {cap}"
-                    )
-            words = list(nxt)
-            rank = np.array(words, dtype=np.int64).reshape(len(words), level)
-            rank = 2 * (np.abs(rank) - 1) + (rank < 0)  # shortlex letter order
-            self._spheres.append([words[i] for i in np.lexsort(rank.T[::-1])])
+            words = self._next_sphere(self._spheres[-1])
+            rank = 2 * np.abs(words) - (words > 0)  # shortlex letter order
+            words = words[np.lexsort(rank.T[::-1])]
+            words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+            if len(words) > cap:
+                raise ResourceCapError(f"sphere {len(self._spheres)} exceeds cap {cap}")
+            words.flags.writeable = False
+            self._spheres.append(words)
 
-    def sphere_words(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> list[Word]:
+    def sphere_array(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> np.ndarray:
+        """The normal forms of length n as the rows of a read-only (N, n)
+        integer array, in shortlex order."""
         if n < 0:
             raise GroupError("radius must be nonnegative")
         self._grow_spheres(n, cap)
         return self._spheres[n]
 
+    def sphere_words(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> list[Word]:
+        return list(map(tuple, self.sphere_array(n, cap).tolist()))
+
     def ball_words(self, n: int, cap: int = DEFAULT_SPHERE_CAP) -> list[Word]:
-        self._grow_spheres(n, cap)
-        out: list[Word] = []
-        for k in range(n + 1):
-            out.extend(self._spheres[k])
-        return out
+        return [w for k in range(n + 1) for w in self.sphere_words(k, cap)]
 
 
 class FreeGroup(GroupPresentation):
@@ -238,6 +247,14 @@ class FreeGroup(GroupPresentation):
     def extend(self, word: Word, s: int) -> Word:
         """Normal form of ``word * s`` for a reduced ``word``, uncached."""
         return word[:-1] if word and word[-1] == -s else word + (s,)
+
+    def _next_sphere(self, prev: np.ndarray) -> np.ndarray:
+        """Free reduction on the whole sphere: each word times each letter
+        but the inverse of its last, in shortlex order."""
+        rows = np.repeat(prev, len(self.alphabet), axis=0)
+        letters = np.tile(np.array(self.alphabet, self._letters), len(prev))
+        keep = letters != -rows[:, -1] if prev.shape[1] else slice(None)
+        return np.column_stack([rows[keep], letters[keep]])
 
     @staticmethod
     def cyclic_reduce(word: Word) -> Word:

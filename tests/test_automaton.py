@@ -72,6 +72,33 @@ def test_validate_bijection_names_the_shortest_duplicate(free2_aut):
     assert report.first_failure == {"kind": "duplicate_element", "word": "ab"}
 
 
+def test_validate_bijection_on_a_free_group_solves_no_word_problem(monkeypatch):
+    free2 = groups.FreeGroup(2)
+    aut = automaton.build_shortlex_acceptor(free2)
+
+    def forbidden(*args):
+        raise AssertionError("word problem solved during the check")
+
+    monkeypatch.setattr(groups.FreeGroup, "extend", forbidden)
+    monkeypatch.setattr(groups.FreeGroup, "normal_form", forbidden)
+    assert automaton.validate_bijection(aut, 10).ok
+
+
+def test_validate_bijection_names_an_accepted_word_that_is_not_the_normal_form():
+    # abAB = dcDC in genus 2; a word problem that picks dcDC leaves the
+    # counts and the distinctness of the accepted words intact
+    genus2 = groups.surface_group(2)
+    aut = automaton.build_shortlex_acceptor(genus2)
+    canonical, picked = genus2._canonical, genus2.parse_word("dcDC")
+    genus2._canonical = lambda w: (
+        picked if canonical(w) == genus2.parse_word("abAB") else canonical(w)
+    )
+    report = automaton.validate_bijection(aut, 4)
+    assert report.accepted_counts == report.sphere_sizes
+    assert not report.ok
+    assert report.first_failure == {"kind": "not_normal_form", "word": "abAB"}
+
+
 def test_surface_acceptor_validates(genus2_aut):
     report = automaton.validate_bijection(genus2_aut, 4)
     assert report.ok

@@ -275,14 +275,15 @@ GENUS2_REPORTS = {
 def test_warm_report_does_no_dehn_work(tmp_path, monkeypatch, config):
     cfg = write_config(tmp_path, GENUS2_REPORTS[config])
     validations = counted(monkeypatch, "validate_bijection", automaton)
-    spheres, sphere_words = [], groups.GroupPresentation.sphere_words
+    spheres, grow_spheres = [], groups.GroupPresentation._grow_spheres
     monkeypatch.setattr(
-        groups.GroupPresentation, "sphere_words",
-        lambda *args, **kwargs: spheres.append(args[1]) or sphere_words(*args, **kwargs),
+        groups.GroupPresentation, "_grow_spheres",
+        lambda *args, **kwargs: spheres.append(args[1]) or grow_spheres(*args, **kwargs),
     )
     code, out = run(tmp_path, "report", "--config", cfg)
     assert code == 0
     assert len(validations) == 1
+    assert spheres  # the spy sees the cold run's check
     cold = artifacts(out)
     del validations[:], spheres[:]
     code, _ = run(tmp_path, "report", "--config", cfg)
@@ -493,6 +494,16 @@ def test_integer_field_rejects_a_non_integer(tmp_path, field, value, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and field in err
+
+
+def test_schottky_traces_with_matrices_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"group": {
+        "family": "schottky", "traces": [3.3, 5.7], "matrices": SCHOTTKY_MATRICES,
+    }})
+    code, _ = run(tmp_path, "growth", "--config", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "'traces'" in err and "'matrices'" in err
 
 
 def schottky_matrices(v):

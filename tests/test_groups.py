@@ -58,6 +58,10 @@ def test_free_sphere_sizes_follow_tree_formula(free2):
 def test_sphere_cap_is_enforced(free2):
     with pytest.raises(groups.ResourceCapError):
         groups.FreeGroup(2).sphere_words(9, cap=1000)
+    g = groups.FreeGroup(2)  # the cap bounds each sphere's size, 4 3^5 at 6
+    assert len(g.sphere_words(6, cap=972)) == 972
+    with pytest.raises(groups.ResourceCapError):
+        g.sphere_words(7, cap=972)
 
 
 def test_shortlex_order_interleaves_inverses(free2):
