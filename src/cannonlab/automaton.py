@@ -18,8 +18,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .groups import (Element, GroupPresentation, ResourceCapError, Word,
-                     invert_word)
+from .groups import (Element, FreeGroup, GroupPresentation, ResourceCapError,
+                     Word, invert_word)
 
 IDENTITY_LABEL = 0  # letters are +-1..+-rank, so no acceptor edge carries it
 
@@ -251,36 +251,50 @@ def _differences(group) -> dict:
     return names
 
 
+def _difference_steps(group) -> dict:
+    """The flag-free step table of the word differences: ``steps[x][d]``
+    is the set of pairs (y, name of x^-1 d y) over the letters y of v, and
+    y = None once v has ended, wherever x^-1 d y is a named difference.
+    x is a letter of w, or None once w has ended (then y is a letter).
+    Names are looked up by spelling, so no step solves the word problem."""
+    names = _differences(group)
+    steps = {x: {d: set() for d in names.values()} for x in (None,) + group.alphabet}
+    for spelling, d in names.items():
+        for x in (None,) + group.alphabet:
+            left = (spelling if x is None else spelling[1:] if spelling[:1] == (x,)
+                    else (-x,) + spelling)
+            for y in group.alphabet if x is None else (None,) + group.alphabet:
+                word = (left if y is None else left[:-1] if left[-1:] == (-y,)
+                        else left + (y,))
+                if word in names:
+                    steps[x][d].add((y, names[word]))
+    return steps
+
+
 def _build_by_differences(group) -> list[list]:
     """The shortlex word acceptor from word differences (Epstein et al.,
     Word Processing in Groups, 1992, ch. 2-3).  A state is the set of pairs
     (d, flag) that a competing word v can reach, where d = w^-1 v over the
     prefixes read and flag compares v with w.  On the letter x, (d, flag)
-    moves to x^-1 d y for each next letter y of v, or to x^-1 d once v has
-    ended, and only while the result is a named difference; names are
-    looked up by spelling, so no step solves the word problem.  An edge is
-    rejected when v reaches w's element smaller or ended.  More than
-    _STATE_CAP states raise ResourceCapError before minimization."""
-    names, order = _differences(group), group._order
+    moves along ``_difference_steps``: to x^-1 d y for each next letter y
+    of v, or to x^-1 d once v has ended.  An edge is rejected when v
+    reaches w's element smaller or ended.  More than _STATE_CAP states
+    raise ResourceCapError before minimization."""
+    order, steps = group._order, _difference_steps(group)
     flags = (_EQUAL, _SMALLER, _LARGER, _ENDED)
-    moves = {x: {(d, f): set() for d in names.values() for f in flags}
+    moves = {x: {(d, f): set() for d in steps[x] for f in flags}
              for x in group.alphabet}  # x -> (d, flag) -> the pairs it moves to
-    for spelling, d in names.items():
-        for x in group.alphabet:
-            left = spelling[1:] if spelling[:1] == (x,) else (-x,) + spelling
-            for y in (None,) + group.alphabet:  # None: v has ended
-                word = (left if y is None else left[:-1] if left[-1:] == (-y,)
-                        else left + (y,))
-                if word not in names:
-                    continue
+    for x in group.alphabet:
+        for d, pairs in steps[x].items():
+            for y, new in pairs:
                 if y is None:
-                    new = {f: _ENDED for f in flags}
+                    for flag in flags:
+                        moves[x][d, flag].add((new, _ENDED))
                 else:  # an ended v reads no letter; else the first
                     # letter at which v and w differ decides
                     c = (order[y] > order[x]) - (order[y] < order[x])
-                    new = {f: f or c for f in (_EQUAL, _SMALLER, _LARGER)}
-                for flag, g in new.items():
-                    moves[x][d, flag].add((names[word], g))
+                    for flag in (_EQUAL, _SMALLER, _LARGER):
+                        moves[x][d, flag].add((new, flag or c))
     rejected = {((), _SMALLER), ((), _ENDED)}
     queue = [frozenset({((), _EQUAL)})]
     state_of, rows = {queue[0]: 0}, []
@@ -312,6 +326,40 @@ def build_shortlex_acceptor(
         initial=initial,
         transitions=tuple(tuple(sorted(r)) for r in rows),
     )
+
+
+class Multiplier:
+    """Right multiplication of accepted words by a generator, read off the
+    word differences (Epstein et al. 1992, ch. 2: the fellow-traveller
+    property of multipliers).  ``mult(w, s)`` lists the accepted words v
+    whose prefix differences w_i^-1 v_i are all named and end at s, found
+    by a synchronized walk over (state of v, difference) that reads w, v
+    ended (padded) at any point, then one more letter of v with w padded.
+    For an exact acceptor whose differences cover its multipliers, the
+    list is the one normal form of w s."""
+
+    def __init__(self, aut: GeodesicAutomaton):
+        self.steps = _difference_steps(aut.group)
+        self.edges = [dict(row) for row in aut.transitions]
+        self.initial = aut.initial
+
+    def __call__(self, word: Word, s: int) -> list[Word]:
+        edges, steps = self.edges, self.steps
+        # (state of v, or None once v has ended; difference; v so far)
+        frontier = {(self.initial, (), ())}
+        for x in word:
+            frontier = {
+                (None, d, v) if y is None else (edges[q][y], d, v + (y,))
+                for q, d0, v in frontier
+                for y, d in steps[x][d0]
+                if y is None or q is not None and y in edges[q]
+            }
+        found = [v for _, d, v in frontier if d == (s,)]
+        for q, d0, v in frontier:
+            if q is not None:
+                found += [v + (y,) for y, d in steps[None][d0]
+                          if d == (s,) and y in edges[q]]
+        return found
 
 
 # -- validation --------------------------------------------------------------
@@ -379,3 +427,29 @@ def saturate(
     raised."""
     aut = build_shortlex_acceptor(presentation)
     return aut, validate_bijection(aut, n_validate, cap)
+
+
+def checked_acceptor(
+    group: GroupPresentation, automaton: Optional[GeodesicAutomaton],
+    n_max: int, cap: int, error: type,
+) -> GeodesicAutomaton:
+    """The acceptor whose walk enumerates the group's balls: the given one,
+    else a free group's own (the reduced words, which is exact), else the
+    shortlex acceptor checked against the word problem to length n_max,
+    capped as in ``validate_bijection``.  A passing check is kept on the
+    group with its radius and serves every ball up to that radius; a failed
+    one raises ``error`` and is not kept, as does a given acceptor of
+    another group."""
+    if automaton is None:
+        if isinstance(group, FreeGroup):
+            return build_shortlex_acceptor(group)
+        checked = group._checked_acceptor
+        if checked is not None and checked[1] >= n_max:
+            return checked[0]
+        automaton, report = saturate(group, n_max, cap)
+        if not report.ok:
+            raise error(f"bijection check failed: {report.first_failure}")
+        group._checked_acceptor = (automaton, n_max)
+    if automaton.group is not group:
+        raise error("balls are walked on a shortlex acceptor of the group")
+    return automaton

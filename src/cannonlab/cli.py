@@ -14,7 +14,8 @@ cached with the automaton under ``<out>/cache/``, so a warm run does no
 Dehn enumeration: it recounts the cached acceptor's words and compares
 them with the stored sphere sizes.  Every stage but ``automaton`` reads
 the acceptor through ``Run.automaton``, which refuses one that failed its
-check; ``count`` and ``correlate`` enumerate their balls by walking it.
+check; ``count`` and ``correlate`` enumerate their balls by walking it,
+and so does a ``green_numeric`` build whose ball lies within n_validate.
 
 Exit codes: 0 ok, 2 invalid configuration or failed validation,
 4 resource cap exceeded, 5 numeric failure.
@@ -311,7 +312,14 @@ class Run:
 
     @cached_property
     def built(self) -> tuple[GeodesicAutomaton, BijectionReport]:
-        return get_automaton(self)
+        """The acceptor and its report.  A passing check is kept on the
+        group as ``automaton.checked_acceptor`` keeps its own, so a Green
+        ball within n_validate walks this acceptor with no Dehn work."""
+        aut, report = get_automaton(self)
+        kept = self.group._checked_acceptor
+        if report.ok and (kept is None or kept[1] < report.n_max):
+            self.group._checked_acceptor = (aut, report.n_max)
+        return aut, report
 
     @property
     def automaton(self) -> GeodesicAutomaton:

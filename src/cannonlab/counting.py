@@ -18,8 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .automaton import GeodesicAutomaton, Level, build_shortlex_acceptor, saturate
-from .groups import FreeGroup
+from .automaton import GeodesicAutomaton, Level, checked_acceptor
 from .metrics import MetricModel
 from .shift import Component, word_maximal_components
 from .thermo import CylinderPotential, TransferOperator
@@ -41,8 +40,8 @@ def sphere_distance_arrays(
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max: the words
-    of the acceptor that ``_acceptor`` picks, walked by ``_ball_levels``
-    through the metric's ``level_kernel``.  Each sphere is in shortlex order
+    of the acceptor that ``checked_acceptor`` picks, walked by
+    ``_ball_levels`` through the metric's ``level_kernel``.  Each sphere is in shortlex order
     (that of ``group.sphere_words``), so arrays for metrics on the same
     group may be combined entrywise.  The spheres are views of one array
     over the ball."""
@@ -53,29 +52,6 @@ def sphere_distance_arrays(
 def _spheres(ball: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """The spheres of a ball array, as views."""
     return np.split(ball, np.cumsum(sizes)[:-1])
-
-
-def _acceptor(
-    group, automaton: Optional[GeodesicAutomaton], n_max: int, cap: int
-) -> GeodesicAutomaton:
-    """The acceptor whose walk enumerates the group's balls: the given one,
-    else a free group's own (the reduced words, which is exact), else the
-    shortlex acceptor checked against the word problem to length n_max.  A
-    passing check is kept on the group with its radius and serves every
-    ball up to that radius; a failed one is raised and not kept."""
-    if automaton is None:
-        if isinstance(group, FreeGroup):
-            return build_shortlex_acceptor(group)
-        checked = group._checked_acceptor
-        if checked is not None and checked[1] >= n_max:
-            return checked[0]
-        automaton, report = saturate(group, n_max, cap)
-        if not report.ok:
-            raise CountingError(f"bijection check failed: {report.first_failure}")
-        group._checked_acceptor = (automaton, n_max)
-    if automaton.group is not group:
-        raise CountingError("balls are walked on a shortlex acceptor of the group")
-    return automaton
 
 
 def _ball_levels(
@@ -128,7 +104,7 @@ def _ball_arrays(
     are counted first, and a ball larger than ``cap`` raises before any
     array is allocated; each level's distances are then written straight
     into place."""
-    automaton = _acceptor(metrics[0].group, automaton, n_max, cap)
+    automaton = checked_acceptor(metrics[0].group, automaton, n_max, cap, CountingError)
     sizes = automaton.accepted_counts(n_max, vertices, cap)
     balls = [np.empty(sum(sizes)) for _ in metrics]
     kernels = [m.level_kernel() for m in metrics]

@@ -108,11 +108,13 @@ class GroupPresentation:
         )
         self._order = {s: j for j, s in enumerate(self.alphabet)}
         self._nf_cache: dict[Word, Word] = {}
-        # letters and their shortlex ranks 1..2 rank fit this integer type
+        # letters and their shortlex ranks fit this integer type
         self._letters = np.min_scalar_type(-2 * self.rank - 1)
+        self._rank_of = np.zeros(2 * self.rank + 1, self._letters)  # at s + rank
+        self._rank_of[np.add(self.alphabet, self.rank)] = list(self._order.values())
         self._spheres: list[np.ndarray] = [np.zeros((1, 0), self._letters)]
-        # (shortlex acceptor, radius) of the last passing bijection check
-        # that counting ran without a given acceptor
+        # (shortlex acceptor, radius) of the widest passing bijection check
+        # kept by automaton.checked_acceptor or a CLI run
         self._checked_acceptor: Optional[tuple] = None
 
     # -- orders and parsing ------------------------------------------------
@@ -120,6 +122,11 @@ class GroupPresentation:
     def shortlex_key(self, word: Word):
         order = self._order
         return (len(word), tuple(order[s] for s in word))
+
+    def letter_ranks(self, letters: np.ndarray) -> np.ndarray:
+        """The shortlex rank of each letter of an integer array, as in
+        ``_order``."""
+        return self._rank_of[letters + self.rank]
 
     def check_symbols(self, word: Sequence[int]) -> None:
         for s in word:
@@ -185,7 +192,8 @@ class GroupPresentation:
     def _next_sphere(self, prev: np.ndarray) -> np.ndarray:
         """The normal forms of length n as rows, possibly repeated, in any
         order, from the sphere of length n - 1: each word times each letter
-        but the one that cancels its last, through the word problem."""
+        but the one that cancels its last, through the word problem.  The
+        spheres are kept as arrays, so no normal form is cached."""
         level = prev.shape[1] + 1
         nxt = set()
         for w in map(tuple, prev.tolist()):
@@ -193,7 +201,7 @@ class GroupPresentation:
             for s in self.alphabet:
                 if s == back:
                     continue
-                nf = self.extend(w, s)
+                nf = self._canonical(w + (s,))
                 if len(nf) == level:
                     nxt.add(nf)
                 elif len(nf) > level:
@@ -205,8 +213,7 @@ class GroupPresentation:
     def _grow_spheres(self, n: int, cap: int) -> None:
         while len(self._spheres) <= n:
             words = self._next_sphere(self._spheres[-1])
-            rank = 2 * np.abs(words) - (words > 0)  # shortlex letter order
-            words = words[np.lexsort(rank.T[::-1])]
+            words = words[np.lexsort(self.letter_ranks(words).T[::-1])]
             words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
             if len(words) > cap:
                 raise ResourceCapError(f"sphere {len(self._spheres)} exceeds cap {cap}")

@@ -21,8 +21,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .automaton import Level
+from .automaton import GeodesicAutomaton, Level, Multiplier, checked_acceptor
 from .groups import (
+    DEFAULT_SPHERE_CAP,
     ConjClass,
     Element,
     FreeGroup,
@@ -94,22 +95,12 @@ class MetricModel:
         of one length less: a plain walk (``GeodesicAutomaton.walk`` or
         ``_levels``) or the block walk of ``counting._ball_levels``.
         Kernels keep state per length, for the last level fed of it.
-        Radial metrics read step * length; any other metric here rebuilds
-        the words and evaluates them one by one."""
+        Radial metrics read step * length; every other metric defines its
+        own kernel."""
         step = self.radial_step
-        if step is not None:
-            return lambda level: np.full(len(level.state), step * level.length)
-        words: dict[int, list[Word]] = {}  # per length, of the last level fed
-
-        def generic(level: Level) -> np.ndarray:
-            n = level.length
-            words[n] = [
-                words[n - 1][p] + (s,)
-                for p, s in zip(level.parent.tolist(), level.label.tolist())
-            ] if n else [()] * len(level.state)
-            return np.array([self.dist_word(w) for w in words[n]])
-
-        return generic
+        if step is None:
+            raise NotImplementedError
+        return lambda level: np.full(len(level.state), step * level.length)
 
 
 class WordMetric(MetricModel):
@@ -165,44 +156,116 @@ def _radial_green(rank: int, absorbing_radius: int) -> np.ndarray:
     return scipy.sparse.linalg.spsolve(A, rhs)
 
 
+class _Ball:
+    """The accepted words of length below ``radius`` at their walk
+    positions: level after level in shortlex order, which is the order of
+    ``group.ball_words``.  Word i of level n is at ``offset[n] + i``.  The
+    walk is capped at DEFAULT_SPHERE_CAP words, before any array is
+    allocated."""
+
+    def __init__(self, aut: GeodesicAutomaton, radius: int):
+        self.initial, self.group = aut.initial, aut.group
+        # target[q, c]: the state that q's edge by the letter of rank c
+        # reaches, or -1; rank[q, c]: that edge's rank among q's edges
+        self.target = np.full((aut.n_states, len(self.group.alphabet)), -1, dtype=np.int64)
+        self.rank = np.zeros_like(self.target)
+        for q, row in enumerate(aut._letter_edges(None)):
+            for r, (label, v) in enumerate(row):
+                c = self.group._order[label]
+                self.target[q, c], self.rank[q, c] = v, r
+        degree = np.count_nonzero(self.target >= 0, axis=1)
+        self.levels = list(aut.walk(radius - 1, cap=DEFAULT_SPHERE_CAP))
+        self.offset = np.cumsum([0] + [len(level.state) for level in self.levels])
+        # the index in level n + 1 of each word's first child
+        self.first = [np.cumsum(degree[lv.state]) - degree[lv.state] for lv in self.levels]
+
+    def step(self, n: int, state, index, column):
+        """The children of words ``index`` of level n, in ``state``, by the
+        letters of rank ``column``, as (state, index in level n + 1).  The
+        state is -1 where the acceptor has no such edge."""
+        return self.target[state, column], self.first[n][index] + self.rank[state, column]
+
+    def word(self, n: int, i: int) -> Word:
+        """Word i of level n, read back up its parents."""
+        labels = []
+        for level in self.levels[n:0:-1]:
+            labels.append(int(level.label[i]))
+            i = int(level.parent[i])
+        return tuple(reversed(labels))
+
+    def position(self, word: Word) -> int:
+        """The walk position of a word shorter than the radius."""
+        state, index = self.initial, 0
+        for n, s in enumerate(word):
+            state, index = self.step(n, state, index, self.group._order[s])
+            if state < 0:
+                raise MetricError(f"{word} is not accepted by the ball's acceptor")
+        return int(self.offset[len(word)] + index)
+
+
 def _killed_walk(
     group: GroupPresentation, walk: WalkSpec, absorbing_radius: int
-) -> Callable[[Word], float]:
+) -> tuple[Optional[_Ball], Sequence[float]]:
     """G(o, .) for the walk killed on leaving the ball of radius
-    absorbing_radius - 1, from one solve of (I - P)^T u = delta_o with zero
-    boundary outside the ball: a lookup of the occupation time u(g) by the
-    normal form of g."""
+    absorbing_radius - 1, as (ball, u).  On a free group with the uniform
+    walk, ball is None and u[n] is G on the n-sphere, in closed form.
+    Otherwise u[i] is G at walk position i of the ``_Ball`` on the acceptor
+    that ``checked_acceptor`` picks, from one solve of (I - P)^T u =
+    delta_o with zero boundary outside the ball.  I - P is assembled by
+    walk position, per level and letter s.  A step whose s cancels the last
+    letter goes to the parent, one along an acceptor edge to the child (from
+    the outer sphere it leaves the ball), and any other step, a rewrite, to
+    the normal form that ``Multiplier`` finds, unless that lies outside the
+    ball.  No step solves the word problem."""
+    R = absorbing_radius
     if isinstance(group, FreeGroup) and walk.is_uniform():
-        u = _radial_green(group.rank, absorbing_radius)
+        u = _radial_green(group.rank, R)
         q = 2 * group.rank
         # G is constant on spheres: u(n) over the size of the n-sphere
-        return lambda w: float(u[len(w)]) / (q * (q - 1) ** (len(w) - 1) if w else 1)
-    # generic sparse solve on the enumerated ball
-    ball = group.ball_words(absorbing_radius - 1)
-    index = {w: i for i, w in enumerate(ball)}
-    rows, cols, vals = [], [], []
-    for w, i in index.items():
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0 - walk.include_identity)
+        return None, [float(u[n]) / (q * (q - 1) ** (n - 1) if n else 1) for n in range(R)]
+    aut = checked_acceptor(group, None, R - 1, DEFAULT_SPHERE_CAP, MetricError)
+    ball, multiply = _Ball(aut, R), None
+    size = int(ball.offset[-1])
+    rows, cols = [np.arange(size)], [np.arange(size)]
+    vals = [np.full(size, 1.0 - walk.include_identity)]
+    for n, level in enumerate(ball.levels):
+        index = np.arange(len(level.state))
+        here = ball.offset[n] + index
         for s, p in walk.probabilities.items():
-            target = group.extend(w, s)
-            j = index.get(target)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(-p)
+            up = level.label == -s  # level 0 carries label 0
+            target, child = ball.step(n, level.state, index, group._order[s])
+            down = (target >= 0) & ~up
+            r, k = [here[up]], [ball.offset[n - 1] + level.parent[up]]
+            if n + 1 < R:
+                r.append(here[down])
+                k.append(ball.offset[n + 1] + child[down])
+            for i in np.flatnonzero(~up & (target < 0)).tolist():
+                multiply = multiply or Multiplier(aut)
+                w = ball.word(n, i)
+                found = multiply(w, s)
+                if len(found) != 1:
+                    raise MetricError(
+                        f"{len(found)} words found for the normal form of "
+                        f"{group.word_to_str(w + (s,))} from the word differences"
+                    )
+                if len(found[0]) < R:
+                    r.append(here[i:i + 1])
+                    k.append(np.array([ball.position(found[0])]))
+            rows += r
+            cols += k
+            vals.append(np.full(sum(map(len, r)), -p))
     A = scipy.sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(len(ball), len(ball))
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
     )
-    rhs = np.zeros(len(ball))
-    rhs[index[()]] = 1.0
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
     # occupation measure solves (I - P)^T u = delta_o; P symmetric here
     u = scipy.sparse.linalg.spsolve(A.T, rhs)
     residual = np.linalg.norm(A.T @ u - rhs)
     if residual > 1e-8:
         raise MetricError(f"Green solve ill-conditioned, residual {residual:.2e}")
-    return lambda w: float(u[index[w]])
+    return ball, u
 
 
 def green_function(
@@ -215,12 +278,19 @@ def green_function(
     boundary outside the ball of the given radius."""
     if len(g.word) >= absorbing_radius:
         raise MetricError("element outside the absorbing ball")
-    return _killed_walk(group, walk, absorbing_radius)(g.word)
+    ball, u = _killed_walk(group, walk, absorbing_radius)
+    return float(u[len(g.word) if ball is None else ball.position(g.word)])
 
 
 class GreenNumeric(MetricModel):
-    """Green metric -log G(o, g) / G(o, o) of a killed walk; the one solve
-    made at construction serves every element as a lookup."""
+    """Green metric -log G(o, g) / G(o, o) of a killed walk.  The one solve
+    made at construction serves every element: ``dist_word`` reads the
+    distance at the word's walk position in the ball (at its length, in the
+    closed form), and ``level_kernel`` carries each word's state and
+    position in the ball's acceptor along the levels fed, so it builds no
+    word.  The acceptor is the one ``count_ball`` picks for the radius
+    absorbing_radius - 1 (``checked_acceptor``): a check kept on the group
+    to that radius serves, so the build then solves no word problem."""
 
     kind = "green_numeric"
 
@@ -235,17 +305,51 @@ class GreenNumeric(MetricModel):
         self.walk = walk if walk is not None else WalkSpec.uniform(group)
         self.absorbing_radius = absorbing_radius
         self.safety_margin = safety_margin
-        self._green = _killed_walk(group, self.walk, absorbing_radius)
-        self._g_oo = self._green(())
+        # the lookup covers lengths up to _reach
+        self._reach = absorbing_radius - max(safety_margin, 1)
+        self._ball, u = _killed_walk(group, self.walk, absorbing_radius)
+        end = max(self._reach + 1, 0)
+        end = end if self._ball is None else self._ball.offset[end]
+        # math.log, not np.log: numpy's vector log differs from libm's in
+        # the last bit on some machines, and the CLI artifacts carry these
+        g_oo = float(u[0])
+        self._dist = np.array([-math.log(g / g_oo) for g in np.asarray(u)[:end].tolist()])
 
-    def _eval(self, word: Word) -> float:
-        # the lookup covers lengths up to absorbing_radius - 1
-        if len(word) > self.absorbing_radius - max(self.safety_margin, 1):
+    def _check(self, length: int) -> None:
+        if length > self._reach:
             raise MetricError(
                 "element too close to the absorbing boundary; "
                 "increase absorbing_radius"
             )
-        return -math.log(self._green(word) / self._g_oo)
+
+    def _eval(self, word: Word) -> float:
+        self._check(len(word))
+        return float(self._dist[len(word) if self._ball is None else self._ball.position(word)])
+
+    def level_kernel(self) -> Callable[[Level], np.ndarray]:
+        ball, dist = self._ball, self._dist
+        # per length, of the last level fed: each word's state and index in
+        # its level of the ball
+        walked: dict[int, tuple] = {}
+
+        def green(level: Level) -> np.ndarray:
+            n, size = level.length, len(level.state)
+            if n == 0 or not size:
+                if ball is not None:
+                    walked[n] = (np.full(size, ball.initial), np.zeros(size, np.int64))
+                return np.zeros(size)
+            self._check(n)
+            if ball is None:
+                return np.full(size, dist[n])
+            state, index = (a[level.parent] for a in walked[n - 1])
+            state, index = ball.step(n - 1, state, index, ball.group.letter_ranks(level.label))
+            if np.any(state < 0):
+                raise MetricError("a word fed to the Green kernel is not accepted "
+                                  "by the ball's acceptor")
+            walked[n] = (state, index)
+            return dist[ball.offset[n] + index]
+
+        return green
 
 
 def _base_point_frame(z: complex) -> np.ndarray:

@@ -268,6 +268,14 @@ GENUS2_REPORTS = {
         "automaton": {"n_validate": 4},
         "counting": {"n_max": 5},
     },
+    # the Green ball lies within the run's check, so it walks that acceptor
+    "green": {
+        "group": {"family": "surface", "genus": 2},
+        "metrics": [{"kind": "green_numeric", "absorbing_radius": 5, "safety_margin": 1}],
+        "automaton": {"n_validate": 4},
+        "counting": {"n_max": 4},
+        "thermo": {"depth": 2},
+    },
 }
 
 
@@ -606,6 +614,19 @@ def test_resource_cap_exits_4(tmp_path):
     cfg = write_config(tmp_path, {"counting": {"n_max": 30, "eps": 0.5}})
     code, _ = run(tmp_path, "count", "--config", cfg)
     assert code == 4
+
+
+def test_a_green_ball_past_the_cap_exits_4(tmp_path, capsys):
+    # no absorbing_radius: the default 30 asks for a genus-2 ball of radius
+    # 29, refused from the acceptor's counts before any sphere grows
+    cfg = write_config(tmp_path, {
+        "group": {"family": "surface", "genus": 2},
+        "metrics": [{"kind": "green_numeric"}],
+        "automaton": {"n_validate": 3},
+    })
+    code, _ = run(tmp_path, "growth", "--config", cfg)
+    assert code == 4
+    assert "radius 29 exceeds cap" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path, free_pair_cfg):

@@ -106,6 +106,12 @@ def test_free_families_keep_no_per_word_caches():
         assert g._nf_cache == {}
 
 
+def test_genus2_spheres_keep_no_per_word_caches():
+    genus2 = groups.surface_group(2)
+    assert automaton.saturate(genus2, 5)[1].ok
+    assert genus2._nf_cache == {}
+
+
 @pytest.mark.parametrize(
     "make", [lambda: groups.FreeGroup(2), groups.standard_schottky, groups.surface_group],
     ids=["F2", "schottky", "genus2"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cannonlab import automaton, groups, metrics
+from cannonlab import automaton, counting, groups, metrics
 
 words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(tuple)
 
@@ -221,3 +221,152 @@ def test_fuchsian_kernel_rescales_like_the_scalar_path(schottky):
     # this size, d = acosh(||M||_F^2 / 2) = log ||M||_F^2 to rounding
     plain = schottky.matrix_of(word)
     assert abs(got[-1] - math.log(float(np.sum(plain * plain)))) <= 1e-12 * got[-1]
+
+
+# -- the Green metric from the acceptor's walk ---------------------------------
+
+def _no_word_problem(group):
+    def forbidden(word):
+        raise AssertionError("Dehn normal form during a Green build")
+
+    group._canonical = forbidden
+
+
+def _keep_check(group, aut, radius):
+    """Hand the group an acceptor as if checked to radius, as a CLI run
+    does after its bijection check."""
+    group._checked_acceptor = (aut, radius)
+
+
+def test_green_build_from_a_kept_acceptor_solves_no_word_problem():
+    genus2 = groups.surface_group(2)
+    _keep_check(genus2, automaton.build_shortlex_acceptor(genus2), 5)
+    _no_word_problem(genus2)
+    green = metrics.GreenNumeric(genus2, absorbing_radius=6, safety_margin=1)
+    assert len(green._dist) == 22289 and genus2._nf_cache == {}
+
+
+def test_the_green_cap_fires_before_any_sphere_grows():
+    genus2 = groups.surface_group(2)
+    _no_word_problem(genus2)
+    # the default absorbing radius 30: the check to radius 29 is refused
+    # from the acceptor's counts alone, as is a walk of a kept acceptor
+    with pytest.raises(groups.ResourceCapError, match="radius 29 exceeds cap"):
+        metrics.GreenNumeric(genus2)
+    _keep_check(genus2, automaton.build_shortlex_acceptor(genus2), 29)
+    with pytest.raises(groups.ResourceCapError, match="walk to length 29"):
+        metrics.GreenNumeric(genus2)
+
+
+def test_a_green_ball_on_a_failed_check_raises(monkeypatch):
+    genus2 = groups.surface_group(2)
+    # the generators alone as differences: every reduced word is accepted,
+    # so the check to radius 4 fails and is not kept
+    monkeypatch.setattr(
+        automaton, "_differences",
+        lambda g: {w: w for w in [()] + [(s,) for s in g.alphabet]},
+    )
+    with pytest.raises(metrics.MetricError, match="bijection check failed"):
+        metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=1)
+    assert genus2._checked_acceptor is None
+
+
+def _reference_green(group, walk, radius):
+    """u as the killed walk was solved before walk positions: the ball from
+    ``ball_words``, a dict of its words and one ``extend`` per step."""
+    ball = group.ball_words(radius - 1)
+    index = {w: i for i, w in enumerate(ball)}
+    rows, cols, vals = [], [], []
+    for w, i in index.items():
+        rows.append(i)
+        cols.append(i)
+        vals.append(1.0 - walk.include_identity)
+        for s, p in walk.probabilities.items():
+            j = index.get(group.extend(w, s))
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(-p)
+    A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(len(ball), len(ball)))
+    rhs = np.zeros(len(ball))
+    rhs[0] = 1.0
+    return scipy.sparse.linalg.spsolve(A.T, rhs)
+
+
+GREEN_REFERENCE_CASES = {  # case: (group, walk, absorbing radii)
+    "genus2": (lambda: groups.surface_group(2), None, (6, 5)),
+    "free2_nonuniform": (
+        lambda: groups.FreeGroup(2),
+        metrics.WalkSpec({1: 0.35, -1: 0.35, 2: 0.15, -2: 0.15}), (6,)),
+    "aaBBaaBB": (lambda: groups.SmallCancellationGroup("ab", ["aaBBaaBB"]), None, (5,)),
+}
+
+
+@pytest.mark.parametrize("case", list(GREEN_REFERENCE_CASES))
+def test_green_from_walk_positions_equals_the_word_built_solve(case):
+    make, walk, radii = GREEN_REFERENCE_CASES[case]
+    group = make()  # the radius-5 reference reuses the radius-6 normal forms
+    aut = automaton.build_shortlex_acceptor(group)
+    _keep_check(group, aut, max(radii))
+    for radius in radii:
+        green = metrics.GreenNumeric(group, walk, radius, safety_margin=1)
+        _, u = metrics._killed_walk(group, green.walk, radius)
+        want = _reference_green(group, green.walk, radius)
+        assert np.array_equal(u, want), radius
+        # every distance, through the kernel on the acceptor's walk
+        kernel = green.level_kernel()
+        got = np.concatenate([kernel(level) for level in aut.walk(radius - 1)])
+        assert np.array_equal(got, [-math.log(g / want[0]) for g in want.tolist()])
+
+
+@pytest.mark.parametrize("relator_or_genus, n_max, n_rewrites", [
+    (2, 5, 448), (3, 5, 12), ("aaBBaaBB", 6, 144), ("ABabAABabA", 7, 180),
+])
+def test_the_rewrite_walk_is_the_word_problem_on_every_rewrite(
+    relator_or_genus, n_max, n_rewrites
+):
+    group = (groups.surface_group(relator_or_genus) if isinstance(relator_or_genus, int)
+             else groups.SmallCancellationGroup("ab", [relator_or_genus]))
+    aut = automaton.build_shortlex_acceptor(group)
+    ball, multiply = metrics._Ball(aut, n_max + 1), automaton.Multiplier(aut)
+    rewrites = [
+        (ball.word(n, i), s)
+        for n, level in enumerate(ball.levels) for s in group.alphabet
+        for i in np.flatnonzero(
+            (level.label != -s) & (ball.target[level.state, group._order[s]] < 0)
+        ).tolist()
+    ]
+    assert len(rewrites) == n_rewrites
+    for w, s in rewrites:
+        assert multiply(w, s) == [group.extend(w, s)], (w, s)
+
+
+def test_a_rewrite_outside_the_differences_raises(monkeypatch):
+    genus2 = groups.surface_group(2)
+    _keep_check(genus2, automaton.build_shortlex_acceptor(genus2), 4)
+    monkeypatch.setattr(
+        automaton, "_differences",
+        lambda g: {w: w for w in [()] + [(s,) for s in g.alphabet]},
+    )
+    with pytest.raises(metrics.MetricError, match="0 words found for the normal form"):
+        metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=1)
+
+
+@pytest.mark.parametrize("block", [2, 8])
+def test_green_kernel_on_a_block_walk_equals_dist_word_bitwise(
+    block, genus2, genus2_aut, monkeypatch
+):
+    # in blocks of 2 the outer sphere comes in slices; in blocks of 8 each
+    # slice of level 2 is followed by its subtree
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    monkeypatch.setattr(genus2, "_checked_acceptor", (genus2_aut, 4))
+    green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=2)
+    kernel, words, lengths = green.level_kernel(), {}, []
+    for level in counting._ball_levels(genus2_aut, 3, None):
+        n = level.length
+        words[n] = [words[n - 1][p] + (s,) for p, s in
+                    zip(level.parent.tolist(), level.label.tolist())] if n else [()]
+        want = np.array([green.dist_word(w) for w in words[n]])
+        assert np.array_equal(kernel(level), want), n
+        lengths.append(n)
+    assert lengths.count(3) > 1 and (block == 2 or lengths != sorted(lengths))
