@@ -28,6 +28,19 @@ class AutomatonError(Exception):
     pass
 
 
+class Edges(NamedTuple):
+    """An acceptor's edges as arrays.  The edges of state q are
+    ``first[q]`` .. ``first[q] + degree[q] - 1``, in alphabet order, and
+    ``slot[q, c]`` is q's edge by the letter ``alphabet[c]``, or -1 (the
+    first one, should a broken acceptor have parallel edges by a letter)."""
+
+    degree: np.ndarray
+    first: np.ndarray
+    label: np.ndarray
+    target: np.ndarray
+    slot: np.ndarray
+
+
 class Level(NamedTuple):
     """The accepted words of one length, as arrays: word i is word
     ``parent[i]`` of the previous level followed by ``label[i]``, and its
@@ -72,17 +85,7 @@ class GeodesicAutomaton:
         integers; with ``vertices``, only words whose path stays in that set
         after the initial state.  More than ``cap`` words in all raise
         ResourceCapError."""
-        rows = self._letter_edges(vertices)
-        vec = np.zeros(self.n_states, dtype=object)
-        vec[self.initial] = 1
-        counts = [1]
-        for _ in range(n_max):
-            nxt = np.zeros(self.n_states, dtype=object)
-            for u, row in enumerate(rows):
-                for _, v in row:
-                    nxt[v] += vec[u]
-            vec = nxt
-            counts.append(int(vec.sum()))
+        counts = self._path_counts(n_max, vertices)[:, self.initial].tolist()
         if cap is not None and sum(counts) > cap:
             raise ResourceCapError(
                 f"walk to length {n_max} would visit {sum(counts)} words, cap {cap}"
@@ -103,29 +106,43 @@ class GeodesicAutomaton:
         self.accepted_counts(n_max, vertices, cap)
         return self._levels([self.initial], n_max, vertices)
 
-    def _letter_edges(self, vertices: Optional[frozenset]) -> list[list]:
-        """Per state, its edges (label, target) in alphabet order, ending
-        in ``vertices`` when that is given."""
-        order = self.group._order
-        return [
-            sorted(
-                ((label, v) for label, v in row if vertices is None or v in vertices),
-                key=lambda edge: order[edge[0]],
-            )
-            for row in self.transitions
-        ]
+    def _edges(self, vertices: Optional[frozenset] = None) -> Edges:
+        """The edges as arrays, those of each state in alphabet order,
+        ending in ``vertices`` when that is given."""
+        order, width = self.group._order, len(self.group.alphabet)
+        slot = [-1] * (self.n_states * width)  # slot[q, c] at q * width + c
+        label, target, end = [], [], []
+        for q, row in enumerate(self.transitions):
+            for s, v in sorted(row, key=lambda edge: order[edge[0]]):
+                if vertices is None or v in vertices:
+                    if slot[q * width + order[s]] < 0:  # the first of parallel edges
+                        slot[q * width + order[s]] = len(label)
+                    label.append(s)
+                    target.append(v)
+            end.append(len(label))
+        degree = np.diff(end, prepend=0)
+        return Edges(degree, end - degree, np.array(label, dtype=np.int64),
+                     np.array(target, dtype=np.int64),
+                     np.array(slot, dtype=np.int64).reshape(self.n_states, width))
+
+    def _path_counts(self, n_max: int, vertices: Optional[frozenset] = None) -> np.ndarray:
+        """counts[m, q]: the number of paths of m edges from state q,
+        m = 0..n_max, edges restricted like ``accepted_counts``, in exact
+        integers."""
+        edges = self._edges(vertices)
+        source = np.repeat(np.arange(self.n_states), edges.degree)
+        counts = np.zeros((n_max + 1, self.n_states), dtype=object)
+        counts[0] = 1
+        for m in range(1, n_max + 1):
+            np.add.at(counts[m], source, counts[m - 1][edges.target])
+        return counts
 
     def _levels(
         self, starts: Sequence[int], n_max: int, vertices: Optional[frozenset]
     ) -> Iterator[Level]:
         """The paths of 0..n_max edges from each state of ``starts`` in turn,
         edges restricted like ``accepted_counts``; level 0 holds the starts."""
-        rows = self._letter_edges(vertices)
-        degree = np.array([len(r) for r in rows], dtype=np.int64)
-        first = np.cumsum(degree) - degree  # edges of state u start here
-        edge_label = np.array([e[0] for r in rows for e in r], dtype=np.int64)
-        edge_target = np.array([e[1] for r in rows for e in r], dtype=np.int64)
-
+        degree, first, edge_label, edge_target, _ = self._edges(vertices)
         state = np.array(starts, dtype=np.int64)
         zero = np.zeros(len(state), dtype=np.int64)
         yield Level(0, state, zero, zero)

@@ -66,21 +66,17 @@ def _ball_levels(
     before it of one length less.  Within a sphere, shortlex order is
     prefix-major, so the levels of one length follow each other in the
     sphere's shortlex order."""
-    rows = aut._letter_edges(vertices)
-    # below[m][u]: the paths of m edges from state u
-    below = [[1] * aut.n_states]
-    for _ in range(n_max):
-        below.append([sum(below[-1][v] for _, v in row) for row in rows])
-    k, present = 0, {aut.initial}
-    while max((below[n_max - k][u] for u in present), default=0) > _BLOCK:
-        present = {v for u in present for _, v in rows[u]}
-        k += 1
+    edges, below = aut._edges(vertices), aut._path_counts(n_max, vertices)
+    k, present = 0, np.array([aut.initial])  # the states k edges reach
+    while max(below[n_max - k][present], default=0) > _BLOCK:
+        out = edges.slot[present]
+        present, k = np.unique(edges.target[out[out >= 0]]), k + 1
     one = np.zeros(1, dtype=np.int64)
     roots = Level(0, np.array([aut.initial]), one, one)
     if k:
         *prefix, roots = aut._levels([aut.initial], k, vertices)
         yield from prefix
-    weight = [below[n_max - k][u] for u in roots.state.tolist()]
+    weight = below[n_max - k][roots.state].tolist()
     lo = 0
     while lo < len(weight):
         hi, size = lo + 1, weight[lo]
@@ -395,10 +391,10 @@ def poincare_compare(
         restricted_d[comp.index] = _restricted_direct_sums(
             aut, metric, comp, s, n_max, cap
         )
-        op = TransferOperator(aut, comp.vertices | {aut.initial}, [pot], depth=1)
-        mat = op.matrix([-s])
-        start = op.blocks.index((aut.initial, ()))
-        vec = np.ones(op.structure.n)
+        vertices = comp.vertices | {aut.initial}
+        mat = TransferOperator(aut, vertices, [pot], depth=1).matrix([-s])
+        start = sorted(vertices).index(aut.initial)  # depth-1 blocks: the sorted vertices
+        vec = np.ones(mat.shape[0])
         vec[start] = 0.0
         ops = np.zeros(n_max + 1)
         for n in range(1, n_max + 1):

@@ -107,7 +107,6 @@ class GroupPresentation:
             s for i in range(1, self.rank + 1) for s in (i, -i)
         )
         self._order = {s: j for j, s in enumerate(self.alphabet)}
-        self._nf_cache: dict[Word, Word] = {}
         # letters and their shortlex ranks fit this integer type
         self._letters = np.min_scalar_type(-2 * self.rank - 1)
         self._rank_of = np.zeros(2 * self.rank + 1, self._letters)  # at s + rank
@@ -168,12 +167,7 @@ class GroupPresentation:
         raise NotImplementedError
 
     def normal_form(self, word: Sequence[int]) -> Word:
-        word = tuple(word)
-        cached = self._nf_cache.get(word)
-        if cached is None:
-            cached = self._canonical(word)
-            self._nf_cache[word] = cached
-        return cached
+        return self._canonical(tuple(word))
 
     def element(self, word: Sequence[int]) -> Element:
         self.check_symbols(word)
@@ -183,8 +177,7 @@ class GroupPresentation:
         return Element(self, ())
 
     def extend(self, word: Word, s: int) -> Word:
-        """Normal form of ``word * s``, where ``word`` must be a normal form
-        (through the normal-form cache; hot path for enumeration)."""
+        """Normal form of ``word * s``, where ``word`` must be a normal form."""
         return self.normal_form(word + (s,))
 
     # -- enumeration -------------------------------------------------------
@@ -252,7 +245,7 @@ class FreeGroup(GroupPresentation):
         return free_reduce(word)
 
     def extend(self, word: Word, s: int) -> Word:
-        """Normal form of ``word * s`` for a reduced ``word``, uncached."""
+        """Normal form of ``word * s`` for a reduced ``word``."""
         return word[:-1] if word and word[-1] == -s else word + (s,)
 
     def _next_sphere(self, prev: np.ndarray) -> np.ndarray:

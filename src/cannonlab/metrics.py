@@ -164,26 +164,20 @@ class _Ball:
     allocated."""
 
     def __init__(self, aut: GeodesicAutomaton, radius: int):
-        self.initial, self.group = aut.initial, aut.group
-        # target[q, c]: the state that q's edge by the letter of rank c
-        # reaches, or -1; rank[q, c]: that edge's rank among q's edges
-        self.target = np.full((aut.n_states, len(self.group.alphabet)), -1, dtype=np.int64)
-        self.rank = np.zeros_like(self.target)
-        for q, row in enumerate(aut._letter_edges(None)):
-            for r, (label, v) in enumerate(row):
-                c = self.group._order[label]
-                self.target[q, c], self.rank[q, c] = v, r
-        degree = np.count_nonzero(self.target >= 0, axis=1)
+        self.initial, self.group, self.edges = aut.initial, aut.group, aut._edges()
         self.levels = list(aut.walk(radius - 1, cap=DEFAULT_SPHERE_CAP))
         self.offset = np.cumsum([0] + [len(level.state) for level in self.levels])
         # the index in level n + 1 of each word's first child
+        degree = self.edges.degree
         self.first = [np.cumsum(degree[lv.state]) - degree[lv.state] for lv in self.levels]
 
     def step(self, n: int, state, index, column):
         """The children of words ``index`` of level n, in ``state``, by the
         letters of rank ``column``, as (state, index in level n + 1).  The
         state is -1 where the acceptor has no such edge."""
-        return self.target[state, column], self.first[n][index] + self.rank[state, column]
+        edge = self.edges.slot[state, column]
+        child = self.first[n][index] + edge - self.edges.first[state]
+        return np.where(edge >= 0, self.edges.target[edge], -1), child
 
     def word(self, n: int, i: int) -> Word:
         """Word i of level n, read back up its parents."""

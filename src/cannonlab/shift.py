@@ -300,13 +300,13 @@ def _orbit_sums(
     # rank[u, label]: the place of the edge among u's edges in the component,
     # which orders the windows out of a block ending at u (a negative label
     # indexes the row from its end)
+    edges = aut._edges(comp.vertices)
     rank = np.zeros((aut.n_states, 2 * max(aut.group.alphabet) + 1), dtype=np.int64)
-    for u, row in enumerate(aut._letter_edges(comp.vertices)):
-        rank[u, [label for label, _ in row]] = np.arange(len(row))
+    rank[:, list(aut.group.alphabet)] = edges.slot - edges.first[:, None]
     sums, verts = [np.zeros(0)], sorted(comp.vertices)
     for pos, a in enumerate(verts):
         above = frozenset(verts[pos:])
-        fan = np.array([len(row) for row in aut._letter_edges(above)])
+        fan = aut._edges(above).degree
         levels = []
         for level in aut._levels([a], l_max, above):
             levels.append(level)

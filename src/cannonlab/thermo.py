@@ -33,32 +33,21 @@ class CylinderPotential:
     Operators evaluate it on all their windows at once (``op.psi``); the
     one-window ``value`` and one-orbit ``cycle_sum`` are references, bit for
     bit.  Values depend only on the label word of a window, so one lazy
-    table serves every component of the same automaton, and operators hand
-    it their psi.
+    table, filled by ``value`` from the metric's ``dist_word``, serves every
+    component of the same automaton.
     """
 
-    def __init__(
-        self,
-        metric: MetricModel,
-        depth: int,
-        tag: str = "",
-    ):
+    def __init__(self, metric: MetricModel, depth: int):
         if depth < 1:
             raise ThermoError("depth must be >= 1")
         self.metric = metric
         self.depth = depth
-        self.tag = tag or metric.kind
         self._table: dict[Word, float] = {}
-        self._recorded: list = []  # (j, windows, psi on their j-edge prefixes)
 
     def value(self, labels: Word) -> float:
         """Psi on the window; windows shorter than the depth are evaluated
         with their own length (exact truncation at path ends)."""
         v = self._table.get(labels)
-        while v is None and self._recorded:  # read in on a miss, not when recorded
-            j, windows, row = self._recorded.pop()
-            self._table.update(zip((w[:j] for w in windows), row.tolist()))
-            v = self._table.get(labels)
         if v is None:
             step = self.metric.radial_step
             # windows of accepted paths are geodesic: a radial metric reads
@@ -75,13 +64,11 @@ class CylinderPotential:
         return sum(self.value(ext[i : i + self.depth]) for i in range(n))
 
     def at_depth(self, depth: int) -> "CylinderPotential":
-        return CylinderPotential(self.metric, depth, self.tag)
+        return CylinderPotential(self.metric, depth)
 
 
-def cylinder_potential(
-    metric: MetricModel, depth: int, tag: str = ""
-) -> CylinderPotential:
-    return CylinderPotential(metric, depth, tag)
+def cylinder_potential(metric: MetricModel, depth: int) -> CylinderPotential:
+    return CylinderPotential(metric, depth)
 
 
 def truncation_error(
@@ -105,16 +92,16 @@ def truncation_error(
 def _paths(aut: GeodesicAutomaton, vertices: frozenset, n_max: int):
     """The paths of 0..n_max edges inside a vertex set, one level at a time,
     walked from every vertex in sorted order, so each level is ordered by
-    start vertex, then shortlex.  Per level: the Level arrays, the start
-    vertex and label word of each path, ``tail``, the index in the previous
-    level of each path minus its first edge, and ``indptr``, where the
-    children of each previous path begin (CSR row pointers)."""
+    start vertex, then shortlex.  Per level: the Level, ``tail``, the index
+    in the previous level of each path minus its first edge, and ``indptr``,
+    where the children of each previous path begin (CSR row pointers); both
+    are None at level 0."""
     starts = np.array(sorted(vertices), dtype=np.int64)
-    start, words, tail, indptr = starts, [()] * len(starts), None, None
+    tail = indptr = None
     for level in aut._levels(starts, n_max, vertices):
         if level.length:
             prev_indptr, prev_tail = indptr, tail
-            indptr = np.searchsorted(level.parent, np.arange(len(words) + 1))
+            indptr = np.searchsorted(level.parent, np.arange(size + 1))
             rank = np.arange(len(level.parent)) - indptr[level.parent]
             # a path and its tail end in the same state, so they have the
             # same children in the same order
@@ -122,30 +109,26 @@ def _paths(aut: GeodesicAutomaton, vertices: frozenset, n_max: int):
                 np.searchsorted(starts, level.state) if level.length == 1
                 else prev_indptr[prev_tail[level.parent]] + rank
             )
-            start = start[level.parent]
-            words = [
-                words[p] + (a,)
-                for p, a in zip(level.parent.tolist(), level.label.tolist())
-            ]
-        yield level, start, words, tail, indptr
+        size = len(level.state)
+        yield level, tail, indptr
 
 
 @dataclass
 class TransferMatrix:
-    """Block structure of a transfer operator: the (depth-1)-edge blocks,
-    ordered by start vertex, then shortlex, and a CSR matrix with one stored
-    entry of 1 per depth-edge window, in the order of ``windows``.  Parallel
-    windows between two blocks (possible at depth 1) are separate entries,
-    which sparse products and toarray() add up."""
+    """Block structure of a transfer operator.  ``walk`` holds the (Level,
+    tail, indptr) of the paths of 0..depth edges, from ``_paths``: block i
+    is path i of depth-1 edges, and window e is path e of depth edges.
+    ``matrix`` is a CSR matrix with one stored entry of 1 per window, in
+    walk order, from the block of its first depth-1 edges to the block of
+    its last.  Parallel windows between two blocks (possible at depth 1)
+    are separate entries, which sparse products and toarray() add up."""
 
-    blocks: list  # (start_vertex, labels) per index
     matrix: scipy.sparse.csr_matrix
-    windows: list  # label word of each window
-    walk: list  # (Level, tail, indptr) of the paths of 0..depth edges, from _paths
+    walk: list
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.matrix.shape[0]
 
 
 def transfer_matrix(
@@ -154,15 +137,11 @@ def transfer_matrix(
     """The block structure on a vertex set, from one walk of the paths: a
     depth-edge window is a transition from the block of its first depth-1
     edges (its parent) to the block of its last depth-1 edges (its tail)."""
-    walk = []
-    for level, start, words, tail, indptr in _paths(aut, vertices, depth):
-        walk.append((level, tail, indptr))
-        if level.length == depth - 1:
-            blocks = list(zip(start.tolist(), words))
-    mat = scipy.sparse.csr_matrix(
-        (np.ones(len(tail)), tail, indptr), shape=(len(blocks), len(blocks))
-    )
-    return TransferMatrix(blocks, mat, words, walk)
+    walk = list(_paths(aut, vertices, depth))
+    _, tail, indptr = walk[-1]
+    n = len(indptr) - 1  # the blocks
+    mat = scipy.sparse.csr_matrix((np.ones(len(tail)), tail, indptr), shape=(n, n))
+    return TransferMatrix(mat, walk)
 
 
 class TransferOperator:
@@ -183,7 +162,7 @@ class TransferOperator:
     ):
         k = depth if depth is not None else max(p.depth for p in potentials)
         self.structure = transfer_matrix(aut, vertices, k)
-        self.blocks, self.depth = self.structure.blocks, k
+        self.depth = k
         walk = self.structure.walk
         self.psi = np.empty((len(potentials), self.structure.matrix.nnz))
         for i, p in enumerate(potentials):
@@ -193,7 +172,6 @@ class TransferOperator:
             for level, _, _ in walk[j + 1 :]:
                 row = row[level.parent]  # from each prefix to its extensions
             self.psi[i] = row
-            p._recorded.append((j, self.structure.windows, row))
 
     def matrix(self, c: Sequence[complex]) -> scipy.sparse.csr_matrix:
         """The operator with edge weights exp(sum_i c_i psi_i); complex
@@ -481,7 +459,7 @@ def gibbs_ratio_check(
     q = gd.transition()
     kernel = potential.metric.level_kernel()
     lo, hi = math.inf, -math.inf
-    for level, _, _, tail, _ in _paths(aut, comp.vertices, depth_test):
+    for level, tail, _ in _paths(aut, comp.vertices, depth_test):
         n = level.length
         if n < k:
             d = kernel(level)  # D_n; at n = k-1, of the blocks

@@ -254,6 +254,44 @@ def test_walk_restricted_to_a_component(genus2_aut):
     assert [len(ws) for ws in words] == genus2_aut.accepted_counts(4, comp.vertices)
 
 
+def _restrictions(aut):
+    """None and the vertices of the largest component: the two restrictions
+    the walks are made under."""
+    return None, max(shift.scc_decompose(aut), key=lambda c: len(c.vertices)).vertices
+
+
+@pytest.mark.parametrize("name", ["free2", "schottky", "genus2"])
+def test_the_edge_table_is_the_step_function(name, request):
+    aut = request.getfixturevalue(f"{name}_aut")
+    alphabet, order = aut.group.alphabet, aut.group._order
+    for vertices in _restrictions(aut):
+        edges = aut._edges(vertices)
+        for q in range(aut.n_states):
+            for c, s in enumerate(alphabet):
+                v = aut.step(q, s)
+                if v is None or vertices is not None and v not in vertices:
+                    assert edges.slot[q, c] == -1
+                else:
+                    e = edges.slot[q, c]
+                    assert (edges.target[e], edges.label[e]) == (v, s)
+                    assert edges.first[q] <= e < edges.first[q] + edges.degree[q]
+            ranks = [order[s] for s in
+                     edges.label[edges.first[q]:edges.first[q] + edges.degree[q]].tolist()]
+            assert ranks == sorted(set(ranks))  # alphabet order
+        assert edges.degree.sum() == len(edges.label) == (edges.slot >= 0).sum()
+
+
+@pytest.mark.parametrize("name", ["free2", "schottky", "genus2"])
+def test_path_counts_are_the_level_sizes_from_every_state(name, request):
+    aut, m = request.getfixturevalue(f"{name}_aut"), 5
+    for vertices in _restrictions(aut):
+        counts = aut._path_counts(m, vertices)
+        for q in range(aut.n_states):
+            sizes = [len(level.state) for level in aut._levels([q], m, vertices)]
+            assert counts[:, q].tolist() == sizes
+        assert counts[:, aut.initial].tolist() == aut.accepted_counts(m, vertices)
+
+
 def test_walk_cap_fires_before_the_walk_starts(free2_aut, free2_comp, monkeypatch):
     started = []
     monkeypatch.setattr(

@@ -8,7 +8,7 @@ import importlib.util
 import os
 import sys
 
-from cannonlab import automaton, groups
+from cannonlab import automaton, groups, thermo
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SPANS = os.path.join(BENCH, "spans.py")
@@ -62,3 +62,9 @@ def test_every_library_name_the_workloads_read_resolves():
 def test_the_benchmark_acceptor_call_still_works():
     aut = automaton.build_shortlex_acceptor(groups.FreeGroup(2), 1)
     assert aut.n_states == 5
+
+
+def test_the_transfer_matrix_attributes_the_spans_read(free2_aut, free2_comp):
+    # bench/spans.py records .n and .matrix.nnz of each transfer matrix
+    structure = thermo.transfer_matrix(free2_aut, free2_comp.vertices, 2)
+    assert (structure.n, structure.matrix.nnz) == (12, 36)

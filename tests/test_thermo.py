@@ -98,15 +98,33 @@ def test_truncation_error_is_the_maximum_over_all_windows(
     assert thermo.truncation_error(schottky_aut, schottky_comp, pot) == brute
 
 
+def _walk_paths(op, length):
+    """The (start vertex, label word) of each path of ``length`` edges in
+    the operator's walk, in walk order: its blocks at length depth - 1, its
+    windows at length depth."""
+    for level, _, _ in op.structure.walk[: length + 1]:
+        if level.length == 0:
+            start, words = level.state, [()] * len(level.state)
+        else:
+            start = start[level.parent]
+            words = [words[p] + (a,) for p, a in
+                     zip(level.parent.tolist(), level.label.tolist())]
+    return list(zip(start.tolist(), words))
+
+
+def _windows(op):
+    return [w for _, w in _walk_paths(op, op.depth)]
+
+
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_operator_psi_is_value_on_every_window(k, schottky, schottky_aut, schottky_comp, fuchsian):
     off_i = metrics.FuchsianOrbit(schottky, complex(0.2, 2.1))
     for metric in (fuchsian, off_i):
         pot = thermo.cylinder_potential(metric, k)
         op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [pot])
-        # a fresh potential: pot's own table now holds op's psi
+        # a fresh potential, whose table no operator has seen
         fresh = thermo.cylinder_potential(metric, k)
-        want = [fresh.value(w) for w in op.structure.windows]
+        want = [fresh.value(w) for w in _windows(op)]
         assert np.array_equal(op.psi[0], want)
 
 
@@ -117,30 +135,10 @@ def test_operator_psi_mixes_depths_through_window_prefixes(
     orbit = thermo.cylinder_potential(fuchsian, 4)
     op = thermo.TransferOperator(schottky_aut, schottky_comp.vertices, [word, orbit])
     assert op.depth == 4
-    windows = op.structure.windows
+    windows = _windows(op)
     word, orbit = word.at_depth(1), orbit.at_depth(4)  # empty tables
     assert np.array_equal(op.psi[0], [word.value(w[:1]) for w in windows])
     assert np.array_equal(op.psi[1], [orbit.value(w) for w in windows])
-
-
-def test_operator_hands_its_psi_to_the_potential(
-    schottky_aut, schottky_comp, fuchsian, monkeypatch
-):
-    # value() on the operator's windows, and on their prefixes for a
-    # shallower potential, reads the psi the operator computed
-    deep = thermo.cylinder_potential(fuchsian, 4)
-    shallow = thermo.cylinder_potential(fuchsian, 2)
-    op = thermo.TransferOperator(
-        schottky_aut, schottky_comp.vertices, [deep, shallow]
-    )
-
-    def refuse(self, word):
-        raise AssertionError("dist_word called")
-
-    monkeypatch.setattr(metrics.MetricModel, "dist_word", refuse)
-    windows = op.structure.windows
-    assert [deep.value(w) for w in windows] == op.psi[0].tolist()
-    assert [shallow.value(w[:2]) for w in windows] == op.psi[1].tolist()
 
 
 def test_gibbs_data_for_constant_potential(free2_aut, free2_comp, free2, log3):
@@ -364,15 +362,16 @@ def test_transfer_operator_matches_assembly_from_definition(
         blocks, want = _reference_matrix(aut, vertices, pots, coeffs, depth)
         got = op.matrix(coeffs)
         # the walk orders blocks by start vertex, then shortlex
-        assert sorted(op.blocks) == blocks
-        perm = [blocks.index(b) for b in op.blocks]
+        walked = _walk_paths(op, depth - 1)
+        assert sorted(walked) == blocks
+        perm = [blocks.index(b) for b in walked]
         assert got.dtype == (complex if isinstance(c[0], complex) and pots else float)
         assert np.allclose(
             got.toarray(), want[np.ix_(perm, perm)], rtol=1e-13, atol=0.0
         )
     # the parallel-edge automaton puts two windows into one matrix entry
     par = thermo.TransferOperator(parallel, frozenset({0, 1}), [green], depth=1)
-    assert len(par.structure.windows) > np.count_nonzero(par.matrix([1.0]).toarray())
+    assert len(_windows(par)) > np.count_nonzero(par.matrix([1.0]).toarray())
 
 
 @pytest.mark.parametrize("s", [math.log(3), math.log(3) + 0.1])
