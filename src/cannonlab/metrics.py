@@ -358,26 +358,40 @@ _CHUNK = 1 << 14  # elements per step of a level kernel
 def _orbit_step(m: tuple, gens: tuple, label, log_scale) -> tuple:
     """One letter of the running product M <- M g_label on the entries
     m = (a, b, c, d) of M, numpy arrays or scalars, with the same bits
-    either way; ``gens[e][label]`` is entry e of the generator.  Where the
-    largest entry passes 1e100, the entries are divided by it and its log
-    is added to ``log_scale``."""
+    either way; ``gens[e][label]`` is entry e of the generator.  Returns
+    the entries, the log scale and q = a^2 + b^2 + c^2 + d^2.  Where q
+    passes 1e200, the entries are divided by sqrt(q) and its log is added
+    to ``log_scale``."""
     (a, b, c, d), (ga, gb, gc, gd) = m, [g[label] for g in gens]
-    m = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
-    size = [abs(x) for x in m]
-    big = (size[0] > 1e100) | (size[1] > 1e100) | (size[2] > 1e100) | (size[3] > 1e100)
-    if np.count_nonzero(big):
-        top = np.maximum(np.maximum(size[0], size[1]), np.maximum(size[2], size[3]))
-        top = np.where(big, top, 1.0)
-        m = tuple(x / top for x in m)
-        log_scale = log_scale + np.log(top)
-    return m, log_scale
+    a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+    q = a * a + b * b + c * c + d * d
+    # the largest q, in one reduction that is cheap on a scalar too
+    if np.maximum.reduce(q, axis=None) > 1e200:
+        top = np.where(q > 1e200, q, 1.0)
+        root = np.sqrt(top)
+        a, b, c, d, q = a / root, b / root, c / root, d / root, q / top
+        log_scale = log_scale + np.log(root)
+    return (a, b, c, d), log_scale, q
+
+
+def _distance(log_scale, q):
+    """d from the log scale and q of the (rescaled) matrix, elementwise:
+    cosh d = q / 2 times exp(2 log_scale).  Past q = 1e200, acosh x =
+    log 2x to rounding, so a rescaled matrix reads log q + 2 log_scale."""
+    dist = np.arccosh(np.maximum(q / 2.0, 1.0))
+    if np.maximum.reduce(log_scale, axis=None) > 0.0:
+        dist = np.where(log_scale > 0.0, np.log(q) + 2.0 * log_scale, dist)
+    return dist
 
 
 class FuchsianOrbit(MetricModel):
     """d(o, g) = hyperbolic distance from the base point to its image under
-    the matrix representation, in the upper half-plane.  The same product
-    (``_orbit_step``) and distance expressions run on the arrays of a level
-    (``level_kernel``) and on the scalars of one word (``_eval``)."""
+    the matrix representation, in the upper half-plane: cosh d =
+    ||C^-1 M C||_F^2 / 2 for det-1 M and C: i -> base point, which avoids the
+    cancellation of the Mobius image formula.  The generators are conjugated
+    by C once, so the product (``_orbit_step``) and distance (``_distance``)
+    run on C^-1 M C itself, on the arrays of a level (``level_kernel``) and
+    on the scalars of one word (``_eval``) alike."""
 
     kind = "fuchsian_orbit"
 
@@ -390,42 +404,26 @@ class FuchsianOrbit(MetricModel):
         self.base_point = complex(base_point)
         self._frame = _base_point_frame(self.base_point)
         self._frame_inv = np.linalg.inv(self._frame)
-        # entry i of C^-1 M C is sum_j form[i, j] m_j over the row-major
-        # entries m of M; only the nonzero coefficients are kept
-        form = np.kron(self._frame_inv, self._frame.T)
-        self._form = [[(j, c) for j, c in enumerate(row.tolist()) if c] for row in form]
-        # entry e of the generator of label s at _gens[e][s + rank]
+        # entry e of C^-1 g C, g the generator of label s, at _gens[e][s + rank]
         r = group.rank
         gens = [group.matrix_of((s,)) if s else np.eye(2) for s in range(-r, r + 1)]
+        gens = [self._frame_inv @ g @ self._frame for g in gens]
         self._gens = tuple(np.reshape(gens, (-1, 4)).T.copy())
         self._gen_lists = [g.tolist() for g in self._gens]
 
-    def _distance(self, m: tuple, log_scale):
-        """d from the entries of the (rescaled) matrix, elementwise."""
-        q = 0.0
-        for terms in self._form:
-            u = sum(m[j] if coef == 1.0 else coef * m[j] for j, coef in terms)
-            q += u * u
-        # cosh d(z0, M z0) = ||C^-1 M C||_F^2 / 2 for det-1 M, C: i -> z0;
-        # avoids the catastrophic cancellation of the Mobius-image formula
-        log_cosh = np.log(q / 2.0) + 2.0 * log_scale
-        dist = np.arccosh(np.exp(np.minimum(np.maximum(log_cosh, 0.0), 31.0)))
-        # acosh(x) = log(2x) - O(x^-2) above log_cosh = 30
-        return np.where(log_cosh > 30.0, log_cosh + math.log(2.0), dist)
-
     def _product(self, word: Word) -> tuple:
-        """The word's rescaled matrix entries and log_scale, on scalars."""
-        m, log_scale, r = (1.0, 0.0, 0.0, 1.0), 0.0, self.group.rank
+        """The word's rescaled C^-1 M C entries, log_scale and q, on scalars."""
+        m, log_scale, q, r = (1.0, 0.0, 0.0, 1.0), 0.0, 2.0, self.group.rank
         for s in word:
-            m, log_scale = _orbit_step(m, self._gen_lists, s + r, log_scale)
-        return m, log_scale
+            m, log_scale, q = _orbit_step(m, self._gen_lists, s + r, log_scale)
+        return m, log_scale, q
 
     def _eval(self, word: Word) -> float:
-        return float(self._distance(*self._product(word)))
+        return float(_distance(*self._product(word)[1:]))
 
     def level_kernel(self) -> Callable[[Level], np.ndarray]:
         r = self.group.rank
-        # per length, of the last level fed: rows a, b, c, d of M, log_scale
+        # per length, of the last level fed: rows a, b, c, d of C^-1 M C, log_scale
         states: dict[int, np.ndarray] = {}
 
         def fuchsian(level: Level) -> np.ndarray:
@@ -437,10 +435,10 @@ class FuchsianOrbit(MetricModel):
             # in chunks, so that the temporaries stay small and in cache
             for lo in range(0, n, _CHUNK):
                 part = slice(lo, lo + _CHUNK)
-                *m, ls = state[:, level.parent[part]]
-                m, ls = _orbit_step(m, self._gens, level.label[part] + r, ls)
+                *m, ls = np.take(state, level.parent[part], axis=1)
+                m, ls, q = _orbit_step(m, self._gens, level.label[part] + r, ls)
                 new[:4, part], new[4, part] = m, ls
-                dist[part] = self._distance(m, ls)
+                dist[part] = _distance(ls, q)
             states[level.length] = new
             return dist
 
@@ -500,7 +498,7 @@ def translation_length(metric: MetricModel, c: ConjClass) -> TranslationLength:
         w = FreeGroup.cyclic_reduce(g.word)
         return TranslationLength(metric.radial_step * len(w), "cyclic_length")
     if isinstance(metric, FuchsianOrbit):
-        (a, _, _, d), log_scale = metric._product(FreeGroup.cyclic_reduce(g.word))
+        (a, _, _, d), log_scale, _ = metric._product(FreeGroup.cyclic_reduce(g.word))
         half_tr = abs(a + d) * math.exp(log_scale) / 2.0
         if half_tr <= 1.0:
             return TranslationLength(0.0, "trace")

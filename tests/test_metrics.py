@@ -1,5 +1,6 @@
 """Metrics as distance models: closed forms, numeric solves."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse.linalg
@@ -74,15 +75,45 @@ def test_fuchsian_distance_closed_form_on_generator(schottky, fuchsian):
     assert abs(fuchsian.dist_word((1,)) - expect) < 1e-12
 
 
-def test_fuchsian_long_words_stay_finite(fuchsian):
+def _exact_cosh(matrix, base_point):
+    """cosh d(z, Mz) = 1 + |z(cz + d) - (az + b)|^2 / (2 y^2), in exact
+    rationals, for M = [[a, b], [c, d]] of det 1 and z = x + iy."""
+    (a, b), (c, d) = matrix
+    x, y = Fraction(base_point.real), Fraction(base_point.imag)
+    # z (cz + d) - (az + b) = (c z^2 + (d - a) z - b), z^2 = x^2 - y^2 + 2ixy
+    re = c * (x * x - y * y) + (d - a) * x - b
+    im = c * 2 * x * y + (d - a) * y
+    return 1 + (re * re + im * im) / (2 * y * y)
+
+
+@pytest.mark.parametrize("base_point", [1j, complex(0.2, 2.1)])
+def test_fuchsian_distance_matches_exact_rationals(schottky, base_point):
+    # M multiplied out in Fractions from the float generator entries, so
+    # that only the metric's own rounding is measured; this catches a
+    # conjugation by C where C^-1 is meant, which is invisible at i
+    f = metrics.FuchsianOrbit(schottky, base_point)
+    gens = {s: [[Fraction(v) for v in row] for row in schottky.matrix_of((s,)).tolist()]
+            for s in schottky.alphabet}
+    exact = {(): [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]}
+    for w in schottky.ball_words(5)[1:]:
+        (a, b), (c, d) = exact[w[:-1]]
+        (ga, gb), (gc, gd) = gens[w[-1]]
+        exact[w] = [[a * ga + b * gc, a * gb + b * gd], [c * ga + d * gc, c * gb + d * gd]]
+        want = math.acosh(float(_exact_cosh(exact[w], base_point)))
+        assert abs(f.dist_word(w) - want) <= 1e-13 * want, w
+
+
+def test_fuchsian_long_words_stay_finite(schottky, fuchsian):
     w = tuple([1, 2, -1, 2] * 20)
     d = fuchsian.dist_word(w)
     assert 100.0 < d < 600.0
-    # scaled product path agrees with the plain product on medium words
+    # the scaled product path agrees with the plain product C^-1 M C on
+    # medium words, at i (where C = I) and off it
     w2 = w[:20]
-    m, log_scale = fuchsian._product(w2)
-    plain = fuchsian.group.matrix_of(w2)
-    assert np.allclose(np.reshape(m, (2, 2)) * math.exp(log_scale), plain)
+    for f in (fuchsian, metrics.FuchsianOrbit(schottky, complex(0.2, 2.1))):
+        m, log_scale, _ = f._product(w2)
+        plain = f._frame_inv @ schottky.matrix_of(w2) @ f._frame
+        assert np.allclose(np.reshape(m, (2, 2)) * math.exp(log_scale), plain)
 
 
 def test_fuchsian_triangle_inequality_on_samples(schottky, fuchsian):
@@ -119,6 +150,18 @@ def test_translation_length_closed_forms(free2, schottky, fuchsian):
     cs = schottky.canonical_class(schottky.element((1,)))
     ts = metrics.translation_length(fuchsian, cs)
     assert abs(ts.value - 2.0 * math.acosh(1.5)) < 1e-9
+
+
+def test_translation_length_off_i_is_the_trace(schottky, fuchsian):
+    # read off the conjugated product, so the trace must not depend on
+    # the base point
+    off_i = metrics.FuchsianOrbit(schottky, complex(0.2, 2.1))
+    for w in [(1,), (1, 2), (1, -2, -2), (2, 1, -2, 1, 1)]:
+        c = schottky.canonical_class(schottky.element(w))
+        want = 2.0 * math.acosh(abs(np.trace(schottky.matrix_of(c.representative.word))) / 2.0)
+        got = metrics.translation_length(off_i, c).value
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - metrics.translation_length(fuchsian, c).value) <= 1e-12 * want
 
 
 def test_translation_length_green_scales_word(free2):
