@@ -12,7 +12,6 @@ accepted word per group element.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -58,6 +57,7 @@ class GeodesicAutomaton:
     n_states: int
     initial: int
     transitions: tuple  # tuple over states of tuple[(label, target), ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ---------------------------------------------------
 
@@ -106,24 +106,41 @@ class GeodesicAutomaton:
         self.accepted_counts(n_max, vertices, cap)
         return self._levels([self.initial], n_max, vertices)
 
+    def _derived(self, name: str, build):
+        """build(self), made once and kept on the acceptor under ``name``:
+        the tables and components that its (frozen) transitions determine."""
+        if name not in self._memo:
+            self._memo[name] = build(self)
+        return self._memo[name]
+
+    def _edge_rows(self) -> np.ndarray:
+        """Every edge as a column (source, alphabet rank of the letter,
+        letter, target), those of each state in alphabet order."""
+        order = self.group._order
+        return np.array([(q, order[s], s, v) for q, row in enumerate(self.transitions)
+                         for s, v in sorted(row, key=lambda edge: order[edge[0]])],
+                        dtype=np.int64).reshape(-1, 4).T
+
     def _edges(self, vertices: Optional[frozenset] = None) -> Edges:
         """The edges as arrays, those of each state in alphabet order,
-        ending in ``vertices`` when that is given."""
-        order, width = self.group._order, len(self.group.alphabet)
-        slot = [-1] * (self.n_states * width)  # slot[q, c] at q * width + c
-        label, target, end = [], [], []
-        for q, row in enumerate(self.transitions):
-            for s, v in sorted(row, key=lambda edge: order[edge[0]]):
-                if vertices is None or v in vertices:
-                    if slot[q * width + order[s]] < 0:  # the first of parallel edges
-                        slot[q * width + order[s]] = len(label)
-                    label.append(s)
-                    target.append(v)
-            end.append(len(label))
-        degree = np.diff(end, prepend=0)
-        return Edges(degree, end - degree, np.array(label, dtype=np.int64),
-                     np.array(target, dtype=np.int64),
-                     np.array(slot, dtype=np.int64).reshape(self.n_states, width))
+        ending in ``vertices`` when that is given: a mask of the one table
+        of ``_edge_rows``.  Each is made once per vertex set, kept on the
+        acceptor and read-only."""
+        if ("edges", vertices) in self._memo:
+            return self._memo["edges", vertices]
+        rows = self._derived("edge rows", type(self)._edge_rows)
+        if vertices is not None:
+            rows = rows[:, np.isin(rows[3], np.fromiter(vertices, dtype=np.int64))]
+        source, rank, label, target = rows
+        degree = np.bincount(source, minlength=self.n_states)
+        slot = np.full((self.n_states, len(self.group.alphabet)), len(label))
+        np.minimum.at(slot, (source, rank), np.arange(len(label)))  # the first of parallel edges
+        slot[slot == len(label)] = -1
+        edges = Edges(degree, np.cumsum(degree) - degree, label, target, slot)
+        for array in edges:
+            array.flags.writeable = False
+        self._memo["edges", vertices] = edges
+        return edges
 
     def _path_counts(self, n_max: int, vertices: Optional[frozenset] = None) -> np.ndarray:
         """counts[m, q]: the number of paths of m edges from state q,
@@ -142,20 +159,7 @@ class GeodesicAutomaton:
     ) -> Iterator[Level]:
         """The paths of 0..n_max edges from each state of ``starts`` in turn,
         edges restricted like ``accepted_counts``; level 0 holds the starts."""
-        degree, first, edge_label, edge_target, _ = self._edges(vertices)
-        state = np.array(starts, dtype=np.int64)
-        zero = np.zeros(len(state), dtype=np.int64)
-        yield Level(0, state, zero, zero)
-        for n in range(1, n_max + 1):
-            fan = degree[state]
-            parent = np.repeat(np.arange(len(state), dtype=np.int64), fan)
-            # child i of a parent whose children start at position p takes
-            # the parent's first edge plus i - p
-            edge = np.repeat(first[state] - (np.cumsum(fan) - fan), fan)
-            edge += np.arange(len(parent), dtype=np.int64)
-            state, label = edge_target[edge], edge_label[edge]
-            del fan, edge  # only the level's own arrays live across the yield
-            yield Level(n, state, label, parent)
+        return _walk_edges(self._edges(vertices), starts, n_max)
 
     def accepted_words(self, n_max: int) -> Iterator[tuple[Word, int]]:
         """Yield (word, end_state) for every accepted word of length <= n_max."""
@@ -174,8 +178,9 @@ class GeodesicAutomaton:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The automaton document, as ``automaton.json`` and the cache hold it."""
+        return {
             "schema": "geodesic-automaton/4",
             "family": self.group.family,
             "generators": list(self.group.generator_names),
@@ -183,11 +188,9 @@ class GeodesicAutomaton:
             "initial": self.initial,
             "edges": [list(e) for e in self.edges()],
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str, group: GroupPresentation) -> "GeodesicAutomaton":
-        doc = json.loads(text)
+    def from_dict(doc: dict, group: GroupPresentation) -> "GeodesicAutomaton":
         if doc.get("schema") != "geodesic-automaton/4":
             raise AutomatonError("unknown automaton schema")
         n = doc["n_states"]
@@ -200,6 +203,25 @@ class GeodesicAutomaton:
             initial=doc["initial"],
             transitions=tuple(tuple(sorted(r)) for r in rows),
         )
+
+
+def _walk_edges(edges: Edges, starts: Sequence[int], n_max: int) -> Iterator[Level]:
+    """The paths of 0..n_max edges of an edge table from each state of
+    ``starts`` in turn, one Level per length; level 0 holds the starts."""
+    degree, first, edge_label, edge_target, _ = edges
+    state = np.array(starts, dtype=np.int64)
+    zero = np.zeros(len(state), dtype=np.int64)
+    yield Level(0, state, zero, zero)
+    for n in range(1, n_max + 1):
+        fan = degree[state]
+        parent = np.repeat(np.arange(len(state), dtype=np.int64), fan)
+        # child i of a parent whose children start at position p takes
+        # the parent's first edge plus i - p
+        edge = np.repeat(first[state] - (np.cumsum(fan) - fan), fan)
+        edge += np.arange(len(parent), dtype=np.int64)
+        state, label = edge_target[edge], edge_label[edge]
+        del fan, edge  # only the level's own arrays live across the yield
+        yield Level(n, state, label, parent)
 
 
 # -- construction ------------------------------------------------------------

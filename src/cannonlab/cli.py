@@ -279,15 +279,16 @@ def _atomic_write(path: str, text: str) -> None:
 class Run:
     """One CLI invocation: the config, its hash and output directory, and
     what the stages share.  The group, the automaton with its bijection
-    report, the metrics, one potential per metric, the main component, and
-    each metric's growth rate and arithmeticity are built at most once, on
-    first use: the automaton stage builds no metric, and report solves
-    nothing twice."""
+    report, the metrics, one potential per metric, the main component, the
+    transfer operator of each tuple of potentials on it, and each metric's
+    growth rate and arithmeticity are built at most once, on first use: the
+    automaton stage builds no metric, and report solves nothing twice."""
 
     def __init__(self, cfg: dict, out_dir: str):
         self.cfg, self.out_dir, self.cfg_hash = cfg, out_dir, config_hash(cfg)
         self.payloads: dict[str, dict] = {}  # emitted JSON by file name, no header
         self._solved: dict = {}
+        self._operators: dict = {}
 
     def setting(self, section: str, key: str, kind=_integer):
         """A config scalar converted by kind, or a ConfigError."""
@@ -343,6 +344,15 @@ class Run:
         depth = self.setting("thermo", "depth")
         return [cylinder_potential(m, _metric_depth(m, depth)) for m in self.metrics]
 
+    def operator(self, *potentials: CylinderPotential) -> TransferOperator:
+        """The operator of the potentials on the main component, compiled
+        once per run."""
+        if potentials not in self._operators:
+            self._operators[potentials] = TransferOperator(
+                self.automaton, self.component.vertices, potentials
+            )
+        return self._operators[potentials]
+
     def growth_rate(self, i: int) -> float:
         return self._once(growth_rate, i)
 
@@ -350,10 +360,12 @@ class Run:
         return self._once(arithmeticity, i)
 
     def _once(self, solve, i: int):
-        """solve(automaton, main component, potential i), memoized."""
+        """solve(automaton, main component, potential i), memoized, on the
+        potential's operator."""
         if (solve, i) not in self._solved:
+            pot = self.potentials[i]
             self._solved[solve, i] = solve(
-                self.automaton, self.component, self.potentials[i]
+                self.automaton, self.component, pot, op=self.operator(pot)
             )
         return self._solved[solve, i]
 
@@ -387,7 +399,7 @@ def get_automaton(run: Run) -> tuple[GeodesicAutomaton, BijectionReport]:
             digest = doc.pop("sha256", None)
             if digest == _automaton_digest(doc):
                 report = BijectionReport(**doc.pop("bijection"))
-                aut = GeodesicAutomaton.from_json(json.dumps(doc), run.group)
+                aut = GeodesicAutomaton.from_dict(doc, run.group)
                 counts = aut.accepted_counts(n_validate)
                 if report.ok and counts == report.accepted_counts == report.sphere_sizes:
                     return aut, report
@@ -397,7 +409,7 @@ def get_automaton(run: Run) -> tuple[GeodesicAutomaton, BijectionReport]:
               file=sys.stderr)
     aut, report = saturate(run.group, n_validate)
     if report.ok:
-        entry = {**json.loads(aut.to_json()), "bijection": dataclasses.asdict(report)}
+        entry = {**aut.to_dict(), "bijection": dataclasses.asdict(report)}
         entry["sha256"] = _automaton_digest(entry)
         _atomic_write(cache_path, json.dumps(entry, indent=1, sort_keys=True))
     return aut, report
@@ -407,7 +419,7 @@ def get_automaton(run: Run) -> tuple[GeodesicAutomaton, BijectionReport]:
 
 def cmd_automaton(run: Run) -> int:
     aut, report = run.built
-    run.emit_json("automaton.json", json.loads(aut.to_json()))
+    run.emit_json("automaton.json", aut.to_dict())
     run.emit_json("bijection.json", dataclasses.asdict(report))
     if not report.ok:
         print("bijection validation failed", file=sys.stderr)
@@ -432,7 +444,8 @@ def cmd_analyze(run: Run) -> int:
     ok = True
     for i, metric in enumerate(run.metrics):
         v_d = run.growth_rate(i)
-        cross = cross_check_maximal(aut, run.potentials[i], v_d)
+        pot = run.potentials[i]
+        cross = cross_check_maximal(aut, pot, v_d, op=run.operator(pot))
         arith = run.arithmeticity(i)
         ok = ok and cross.ok and cross.disjoint
         payload["metrics"].append(
@@ -471,7 +484,7 @@ def cmd_manhattan(run: Run) -> int:
     v_b = run.growth_rate(1)
     points = run.setting("manhattan", "points")
     grid = np.linspace(0.0, v_b, points)
-    op = TransferOperator(aut, comp.vertices, [pot_a, pot_b])
+    op = run.operator(pot_a, pot_b)
     theta = [manhattan_pair(aut, comp, pot_a, pot_b, float(t), op=op) for t in grid]
     mid = theta[points // 2]
     affine = abs(mid - 0.5 * (theta[0] + theta[-1])) < 1e-9

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .automaton import GeodesicAutomaton
+from .automaton import Edges, GeodesicAutomaton, _walk_edges
 from .groups import ConjClass, FreeGroup, ResourceCapError, Word, invert_word
 
 GROWTH_TIE = 1e-9  # log growths this close to the top count as maximal
@@ -47,7 +47,11 @@ class PeriodicOrbit:
 
 def scc_decompose(aut: GeodesicAutomaton) -> list[Component]:
     """Strongly connected components of the transition graph, returned in a
-    deterministic order (sorted by least vertex)."""
+    deterministic order (sorted by least vertex); derived once per acceptor."""
+    return list(aut._derived("components", _components))
+
+
+def _components(aut: GeodesicAutomaton) -> list[Component]:
     edges = np.array(
         [(u, v) for u, row in enumerate(aut.transitions) for _, v in row],
         dtype=np.int64,
@@ -124,6 +128,12 @@ def _growing_components(aut: GeodesicAutomaton) -> list[Component]:
 
 
 def word_maximal_components(aut: GeodesicAutomaton) -> list[Component]:
+    """The growing components of the top word growth; derived once per
+    acceptor."""
+    return list(aut._derived("word_maximal", _word_maximal))
+
+
+def _word_maximal(aut: GeodesicAutomaton) -> list[Component]:
     comps = _growing_components(aut)
     if not comps:
         raise ShiftError("no nontrivial components")
@@ -163,16 +173,22 @@ def cross_check_maximal(
     potential,
     v_d: float,
     tol: float = 2e-6,
+    op=None,
 ) -> MaximalCrossCheck:
     """The components maximizing plain word growth must coincide with those
     maximizing the pressure of -v_d * potential (whose maximum is 0), and
-    distinct maximal components must not reach one another."""
-    from .thermo import pressure
+    distinct maximal components must not reach one another.  A caller that
+    has compiled the potential's operator on one component passes it as
+    ``op``; the other components compile their own."""
+    from .thermo import TransferOperator, pressure_terms
 
     comps = _growing_components(aut)
     wmax = sorted(c.index for c in word_maximal_components(aut))
     pressures = {
-        c.index: pressure(aut, c, potential, v_d) for c in comps
+        c.index: pressure_terms(
+            op if op is not None and op.vertices == c.vertices
+            else TransferOperator(aut, c.vertices, [potential]), [-v_d])
+        for c in comps
     }
     top_p = max(pressures.values())
     pmax = sorted(
@@ -237,23 +253,22 @@ def _find_label_cycle(
     aut: GeodesicAutomaton, comp: Component, word: Word
 ) -> Optional[PeriodicOrbit]:
     """A closed path in the component spelling some cyclic rotation of the
-    word; rotations tried in order, start vertices in sorted order."""
-    n = len(word)
-    for r in range(n):
+    word; rotations tried in order, start vertices in sorted order.  Every
+    start vertex of a rotation steps at once through the component's edge
+    table."""
+    edges = aut._edges(comp.vertices)
+    starts = np.array(sorted(comp.vertices), dtype=np.int64)
+    for r in range(len(word)):
         rot = word[r:] + word[:r]
-        for start in sorted(comp.vertices):
-            v = start
-            vertices = []
-            ok = True
-            for s in rot:
-                vertices.append(v)
-                nxt = aut.step(v, s)
-                if nxt is None or nxt not in comp.vertices:
-                    ok = False
-                    break
-                v = nxt
-            if ok and v == start:
-                return PeriodicOrbit(tuple(vertices), rot)
+        path, alive = [starts], np.ones(len(starts), dtype=bool)
+        for s in rot:
+            edge = edges.slot[path[-1], aut.group._order[s]]
+            alive &= edge >= 0
+            path.append(starts.copy())  # a dead path marks time at its start
+            path[-1][alive] = edges.target[edge[alive]]
+        hit = np.flatnonzero(alive & (path[-1] == starts))
+        if len(hit):
+            return PeriodicOrbit(tuple(int(v[hit[0]]) for v in path[:-1]), rot)
     return None
 
 
@@ -280,19 +295,24 @@ class ArithmeticityReport:
 
 
 def _orbit_sums(
-    aut: GeodesicAutomaton, comp: Component, potential, l_max: int
+    aut: GeodesicAutomaton, comp: Component, potential, l_max: int, op=None
 ) -> np.ndarray:
     """The Birkhoff sums of the potential around the closed paths of
     1..l_max edges in the component, each anchored at its least vertex a:
-    the paths of one walk from a through the vertices >= a that end at a.
+    the paths of a walk from a through the vertices >= a that end at a.
+    One walk serves every anchor, and it drops each path that cannot get
+    back to its anchor within l_max edges, which keeps the closed paths.
     Window i of a closed path of n edges, its edges i..i+k-1 around the
-    cycle, is an entry of the compiled depth-k operator, found by index
-    arithmetic; the windows are summed in order from a, as ``cycle_sum``
-    sums them.  A level longer than ORBIT_LEVEL_CAP raises
-    ResourceCapError before it is allocated."""
+    cycle, is an entry of the compiled depth-k operator (``op``, or compiled
+    here), found by index arithmetic; the windows are summed in order from
+    a, as ``cycle_sum`` sums them, and the sums come anchor after anchor,
+    each by length, then in walk order.  An anchor whose walk without the
+    drops would hold more than ORBIT_LEVEL_CAP paths of one length raises
+    ResourceCapError before the walk starts."""
     from .thermo import TransferOperator
 
-    op = TransferOperator(aut, comp.vertices, [potential])
+    if op is None:
+        op = TransferOperator(aut, comp.vertices, [potential])
     k, psi, mat = op.depth, op.psi[0], op.structure.matrix
     # the children of path i of level j of the operator's walk start at
     # child[j][i], the row pointers that the walk keeps for level j + 1
@@ -300,51 +320,76 @@ def _orbit_sums(
     # rank[u, label]: the place of the edge among u's edges in the component,
     # which orders the windows out of a block ending at u (a negative label
     # indexes the row from its end)
-    edges = aut._edges(comp.vertices)
-    rank = np.zeros((aut.n_states, 2 * max(aut.group.alphabet) + 1), dtype=np.int64)
+    edges, size = aut._edges(comp.vertices), aut.n_states
+    rank = np.zeros((size, 2 * max(aut.group.alphabet) + 1), dtype=np.int64)
     rank[:, list(aut.group.alphabet)] = edges.slot - edges.first[:, None]
-    sums, verts = [np.zeros(0)], sorted(comp.vertices)
-    for pos, a in enumerate(verts):
-        above = frozenset(verts[pos:])
-        fan = aut._edges(above).degree
-        levels = []
-        for level in aut._levels([a], l_max, above):
-            levels.append(level)
-            n, size = level.length, int(fan[level.state].sum())
-            if n < l_max and size > ORBIT_LEVEL_CAP:
-                raise ResourceCapError(
-                    f"the closed-path walk from state {a} would hold {size} "
-                    f"paths of {n + 1} edges, cap {ORBIT_LEVEL_CAP}"
-                )
-            if n == 0:
-                continue
-            idx = np.flatnonzero(level.state == a)
-            r = np.empty((len(idx), n), dtype=np.int64)  # edge ranks, from the end
-            for m in range(n, 0, -1):
-                parent = levels[m].parent[idx]
-                r[:, m - 1] = rank[levels[m - 1].state[parent], levels[m].label[idx]]
-                idx = parent
-            block = np.full(len(r), pos)  # down to the block of edges 0..k-2
-            for j in range(k - 1):
-                block = child[j][block] + r[:, j % n]
-            total = np.zeros(len(r))
-            for i in range(n):
-                entry = mat.indptr[block] + r[:, (i + k - 1) % n]
-                total += psi[entry]
-                block = mat.indices[entry]
-            sums.append(total)
-    return np.concatenate(sums)
+    source = np.repeat(np.arange(size), edges.degree)
+    verts = np.array(sorted(comp.vertices))
+    anchors = np.arange(len(verts))
+    # within[i, q]: q >= the anchor verts[i]; adjacency[q, v]: the edges from
+    # q to v in the component; sizes[i, n]: the paths of n edges in the walk
+    # from verts[i] without drops, exact in float64 up to 2^53, far above
+    # the cap; hops[i, q]: the fewest edges from q back to verts[i] through
+    # the vertices >= it, or l_max + 1 where that is more than l_max
+    within = np.arange(size) >= verts[:, None]
+    adjacency = np.zeros((size, size))
+    np.add.at(adjacency, (source, edges.target), 1)
+    paths = [within.astype(float)]
+    hops = np.where(np.arange(size) == verts[:, None], 0, l_max + 1)
+    for j in range(1, l_max + 1):
+        paths.append((paths[-1] @ adjacency.T) * within)
+        hops[((hops < j) @ adjacency.T > 0) & within & (hops > j)] = j
+    sizes = np.array(paths)[:, anchors, verts].T
+    over = np.argwhere(sizes > ORBIT_LEVEL_CAP)  # by anchor, then by length
+    if len(over):
+        i, n = over[0]
+        raise ResourceCapError(
+            f"the closed-path walk from state {verts[i]} would hold "
+            f"{int(sizes[i, n])} paths of {n} edges, cap {ORBIT_LEVEL_CAP}"
+        )
+    # the walk runs on the states (i, b, q): at q, from verts[i], with b
+    # edges left; it keeps an edge to v when hops[i, v] < b (and reads no slot)
+    width = l_max + 1
+    i, b, e = np.nonzero(hops[:, None, edges.target] < np.arange(width)[:, None])
+    degree = np.bincount((i * width + b) * size + source[e], minlength=len(verts) * width * size)
+    table = Edges(degree, np.cumsum(degree) - degree, edges.label[e],
+                  (i * width + b - 1) * size + edges.target[e], None)
+    levels, sums, owner = [], [np.zeros(0)], [anchors[:0]]
+    for level in _walk_edges(table, (anchors * width + l_max) * size + verts, l_max):
+        root = verts[level.state // (width * size)]
+        levels.append(level._replace(state=level.state % size))
+        n = level.length
+        if n == 0:
+            continue
+        idx = np.flatnonzero(levels[n].state == root)
+        r = np.empty((len(idx), n), dtype=np.int64)  # edge ranks, from the end
+        for m in range(n, 0, -1):
+            parent = levels[m].parent[idx]
+            r[:, m - 1] = rank[levels[m - 1].state[parent], levels[m].label[idx]]
+            idx = parent
+        owner.append(idx)  # the anchor's place in verts, its block of 0 edges
+        block = idx  # down to the block of edges 0..k-2
+        for j in range(k - 1):
+            block = child[j][block] + r[:, j % n]
+        total = np.zeros(len(r))
+        for j in range(n):
+            entry = mat.indptr[block] + r[:, (j + k - 1) % n]
+            total += psi[entry]
+            block = mat.indices[entry]
+        sums.append(total)
+    return np.concatenate(sums)[np.argsort(np.concatenate(owner), kind="stable")]
 
 
 def arithmeticity(
-    aut: GeodesicAutomaton, comp: Component, potential, l_max: int = 6
+    aut: GeodesicAutomaton, comp: Component, potential, l_max: int = 6, op=None
 ) -> ArithmeticityReport:
     """Do the Birkhoff sums of the potential over periodic orbits lie in
     a common lattice a*Z?  The sums are those of every closed path of
-    1..l_max edges (_orbit_sums), and ``n_orbits`` is their exact number.
-    The gap estimate is an iterated real gcd of the orbit sums with
-    tolerance; verdicts carry explicit thresholds."""
-    sums = _orbit_sums(aut, comp, potential, l_max)
+    1..l_max edges (_orbit_sums, which takes the potential's compiled
+    operator ``op`` if the caller has one), and ``n_orbits`` is their exact
+    number.  The gap estimate is an iterated real gcd of the orbit sums
+    with tolerance; verdicts carry explicit thresholds."""
+    sums = _orbit_sums(aut, comp, potential, l_max, op)
     n_orbits = len(sums)
     values = sorted({round(v, 14) for v in np.unique(sums).tolist()})
     values = [v for v in values if abs(v) > ORBIT_SUM_TOL]

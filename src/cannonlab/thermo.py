@@ -9,6 +9,7 @@ point of the Manhattan curve.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -162,7 +163,7 @@ class TransferOperator:
     ):
         k = depth if depth is not None else max(p.depth for p in potentials)
         self.structure = transfer_matrix(aut, vertices, k)
-        self.depth = k
+        self.vertices, self.depth = vertices, k
         walk = self.structure.walk
         self.psi = np.empty((len(potentials), self.structure.matrix.nnz))
         for i, p in enumerate(potentials):
@@ -205,20 +206,28 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x * (abs(pivot) / pivot) / np.linalg.norm(x)
 
 
+def _tie_rule(w: np.ndarray) -> int:
+    """The index in w of the leading eigenvalue, by the tie rule of leading_eigen."""
+    top = float(np.max(np.abs(w)))
+    tied = np.flatnonzero(np.abs(w) >= top * (1.0 - TIE_RTOL))
+    re = w[tied].real
+    tied = tied[re >= np.max(re) - TIE_RTOL * top]
+    return int(tied[int(np.argmax(w[tied].imag))])
+
+
 def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
     """The leading eigenvalue (largest modulus) of a square sparse matrix
     with its right eigenvector, and its left one when asked for.
 
-    Matrices below DENSE_BELOW rows go to dense LAPACK eig; larger ones to
-    ARPACK eigs(k=1, which="LM") started from the fixed vector of ones, so
-    two calls on the same matrix return the same bits.  Every answer must
-    pass ||A x - lam x|| <= RESIDUAL_TOL |lam|; a failed residual check or
-    an ARPACK run that does not converge raises ThermoError.
-
-    LAPACK balances badly scaled matrices (entries 1e-20 next to 1e-4): its
-    eigenvalue stays accurate, but the back-transformed vector can miss the
-    residual check.  The dense path then takes one inverse-iteration step,
-    a solve with A - lam I, before checking again.
+    Matrices below DENSE_BELOW rows go to LAPACK eigvals, and the vector to
+    one step of inverse iteration (Golub & Van Loan, Matrix Computations,
+    7.6.1): a solve with A - lam I from the vector of ones.  An exactly
+    singular solve, or a vector that misses the residual check, falls back
+    to LAPACK eig.  Larger matrices go to ARPACK eigs(k=1, which="LM")
+    started from the ones vector.  So two calls on the same matrix return
+    the same bits.  Every answer must pass ||A x - lam x|| <= RESIDUAL_TOL
+    |lam|; a failed residual check or an ARPACK run that does not converge
+    raises ThermoError.
 
     Ties: when several eigenvalues share the top modulus, the dense path
     returns the one with the largest real part, then the largest imaginary
@@ -231,15 +240,14 @@ def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
     n = mat.shape[0]
     if n == 0:
         raise ThermoError("empty transfer matrix")
-    dense = n < DENSE_BELOW
-    if dense:
+    if n < DENSE_BELOW:
         a = mat.toarray()
-        w, vr = np.linalg.eig(a)
-        top = float(np.max(np.abs(w)))
-        tied = np.flatnonzero(np.abs(w) >= top * (1.0 - TIE_RTOL))
-        re = w[tied].real
-        tied = tied[re >= np.max(re) - TIE_RTOL * top]
-        i = tied[int(np.argmax(w[tied].imag))]
+        w = np.linalg.eigvals(a)
+        i, x = _tie_rule(w), None
+        try:
+            x = _unit(np.linalg.solve(a - w[i] * np.eye(n), np.ones(n)))
+        except np.linalg.LinAlgError:  # A - lam I exactly singular
+            pass
     else:
         try:
             w, vr = scipy.sparse.linalg.eigs(
@@ -249,31 +257,40 @@ def leading_eigen(mat: scipy.sparse.spmatrix, left: bool = False) -> Eigenpair:
             raise ThermoError(
                 f"ARPACK did not converge on a {n}-block matrix"
             ) from exc
-        i = 0
-    lam, x = complex(w[i]), _unit(vr[:, i])
-    resid = float(np.linalg.norm(mat @ x - lam * x))
-    if dense and not resid <= RESIDUAL_TOL * abs(lam):
-        try:
-            x = _unit(np.linalg.solve(a - w[i] * np.eye(n), x))
-        except np.linalg.LinAlgError:
-            pass  # A - lam I exactly singular: keep the vector, fail below
+        i, x = 0, _unit(vr[:, 0])
+    lam = complex(w[i])
+    resid = math.inf if x is None else float(np.linalg.norm(mat @ x - lam * x))
+    if n < DENSE_BELOW and not resid <= RESIDUAL_TOL * abs(lam):
+        w, vr = np.linalg.eig(a)  # LAPACK's own vector
+        i = _tie_rule(w)
+        lam, x = complex(w[i]), _unit(vr[:, i])
         resid = float(np.linalg.norm(mat @ x - lam * x))
     if not resid <= RESIDUAL_TOL * abs(lam):
         raise ThermoError(
             f"eigen residual {resid:.2e} above {RESIDUAL_TOL:.0e} * |{lam:.6g}|"
         )
     pair = Eigenpair(lam, x, None, resid / abs(lam) if lam else 0.0)
-    if left:
-        dual = leading_eigen(mat.T)
-        if not abs(dual.value - lam) <= RESIDUAL_TOL * abs(lam):
-            raise ThermoError("left and right leading eigenvalues differ")
-        pair.left = dual.right
-    return pair
+    return _with_left(mat, pair) if left else pair
 
 
-def pressure_terms(op: TransferOperator, c: Sequence[float]) -> float:
-    """log spectral radius of the compiled operator at coefficients c."""
-    rho = abs(leading_eigen(op.matrix(c)).value)
+def _with_left(mat: scipy.sparse.spmatrix, pair: Eigenpair) -> Eigenpair:
+    """The right eigenpair with the leading left vector of the matrix."""
+    dual = leading_eigen(mat.T)
+    if not abs(dual.value - pair.value) <= RESIDUAL_TOL * abs(pair.value):
+        raise ThermoError("left and right leading eigenvalues differ")
+    return dataclasses.replace(pair, left=dual.right)
+
+
+def pressure_terms(
+    op: TransferOperator, c: Sequence[float], pairs: Optional[dict] = None
+) -> float:
+    """log spectral radius of the compiled operator at coefficients c.  A
+    caller that wants the leading eigenpair too passes a dict as ``pairs``,
+    which keeps it under tuple(c)."""
+    eig = leading_eigen(op.matrix(c))
+    if pairs is not None:
+        pairs[tuple(c)] = eig
+    rho = abs(eig.value)
     if rho == 0.0:
         raise ThermoError("nilpotent transfer matrix: the pressure is -inf")
     return math.log(rho)
@@ -359,9 +376,12 @@ def growth_rate(
     comp: Component,
     potential: CylinderPotential,
     bracket: tuple[float, float] = (0.0, 4.0),
+    op: Optional[TransferOperator] = None,
 ) -> float:
-    """The unique v with P(-v * Psi) = 0."""
-    op = TransferOperator(aut, comp.vertices, [potential])
+    """The unique v with P(-v * Psi) = 0.  A caller that keeps the compiled
+    operator of the potential on the component passes it as ``op``."""
+    if op is None:
+        op = TransferOperator(aut, comp.vertices, [potential])
     return _root(
         lambda s: pressure_terms(op, [-s]), bracket[0], bracket[1]
     )
@@ -400,8 +420,12 @@ class GibbsData:
         return psi @ mass / self.eigenvalue
 
 
-def perron(op: TransferOperator, c: Sequence[float]) -> GibbsData:
-    """Perron data of the compiled operator at real coefficients c.  On a
+def perron(
+    op: TransferOperator, c: Sequence[float], right: Optional[Eigenpair] = None
+) -> GibbsData:
+    """Perron data of the compiled operator at real coefficients c.  A
+    caller that has solved the operator at c already passes that leading
+    eigenpair as ``right``, and only the left vector is solved.  On a
     period-p component ARPACK may return a rotated top eigenvalue (see
     leading_eigen); then A + |lam| I, which has the same Perron vectors, is
     primitive and has eigenvalue ratio at most cos(pi / p), is solved, and
@@ -409,7 +433,7 @@ def perron(op: TransferOperator, c: Sequence[float]) -> GibbsData:
     eigenvalue is still not real and positive or a vector is not positive."""
     c = np.asarray(c, dtype=float)
     mat = op.matrix(c)
-    eig = leading_eigen(mat, left=True)
+    eig = _with_left(mat, right if right is not None else leading_eigen(mat))
     lam = eig.value
     if lam.real <= 0 or abs(lam.imag) > RESIDUAL_TOL * abs(lam):
         shift = abs(lam)
@@ -502,16 +526,19 @@ def manhattan_pair(
     t: float,
     bracket: tuple[float, float] = (-4.0, 4.0),
     op: Optional[TransferOperator] = None,
+    pairs: Optional[dict] = None,
 ) -> float:
     """theta_{dstar/d}(t): the s with P(-s Psi_d - t Psi_dstar) = 0.  A
     caller solving for many t passes the compiled operator of
-    (potential_d, potential_dstar) on the component as ``op``."""
+    (potential_d, potential_dstar) on the component as ``op``; one that
+    wants the leading eigenpair at each evaluated (s, t) passes ``pairs``
+    (see pressure_terms)."""
     if op is None:
         op = TransferOperator(
             aut, comp.vertices, [potential_d, potential_dstar]
         )
     return _root(
-        lambda s: pressure_terms(op, [-s, -t]), bracket[0], bracket[1]
+        lambda s: pressure_terms(op, [-s, -t], pairs), bracket[0], bracket[1]
     )
 
 
@@ -533,12 +560,21 @@ def correlation_exponent(
     growth-normalized metrics; alpha = xi + theta(xi).  The slope is exact:
     theta'(t) = -int Psi_dstar dmu / int Psi_d dmu for the equilibrium state
     mu of -theta(t) Psi_d - t Psi_dstar.  A dependent pair yields the affine
-    curve theta(t) = 1 - t and is flagged degenerate."""
+    curve theta(t) = 1 - t and is flagged degenerate.  Each theta(t) is
+    solved once, and the Perron data at (theta(t), t) start from the
+    eigenpair that its root evaluated there."""
 
     op = TransferOperator(aut, comp.vertices, [potential_d, potential_dstar])
+    solved: dict = {}  # t -> (theta(t), the leading eigenpair there)
 
     def theta(t: float) -> float:
-        return manhattan_pair(aut, comp, potential_d, potential_dstar, t, op=op)
+        if t not in solved:
+            pairs: dict = {}
+            s = manhattan_pair(
+                aut, comp, potential_d, potential_dstar, t, op=op, pairs=pairs
+            )
+            solved[t] = s, pairs[-s, -t]
+        return solved[t][0]
 
     t0, t1, mid = theta(0.0), theta(1.0), theta(0.5)
     if abs(mid - 0.5 * (t0 + t1)) < 1e-9:
@@ -546,7 +582,8 @@ def correlation_exponent(
         return CorrelationExponent(0.5, 1.0, mid, True)
 
     def slope_plus_one(t: float) -> float:
-        int_d, int_dstar = perron(op, [-theta(t), -t]).integrals()
+        s = theta(t)
+        int_d, int_dstar = perron(op, [-s, -t], solved[t][1]).integrals()
         return 1.0 - int_dstar / int_d
 
     xi = _root(slope_plus_one, 0.05, 0.95)

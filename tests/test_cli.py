@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cannonlab import automaton, cli, groups, thermo
+from cannonlab import automaton, cli, groups, shift, thermo
 
 
 def write_config(tmp_path, cfg):
@@ -600,14 +600,28 @@ def test_report_builds_and_solves_each_shared_input_once(tmp_path, monkeypatch):
         "__init__",
         lambda self, *args, **kwargs: compiles.append(1) or init(self, *args, **kwargs),
     )
+    # the acceptor of each derivation of an edge table, the components and
+    # the word-maximal components
+    derived = {"_edge_rows": [], "_components": [], "_word_maximal": []}
+
+    def record(owner, name):
+        build, seen = getattr(owner, name), derived[name]
+        monkeypatch.setattr(owner, name, lambda aut: seen.append(aut) or build(aut))
+
+    record(automaton.GeodesicAutomaton, "_edge_rows")
+    record(shift, "_components")
+    record(shift, "_word_maximal")
     code, _ = run(tmp_path, "report", "--config", cfg)
     assert code == 0
     assert {name: len(c) for name, c in calls.items()} == {
         "build_group": 1, "get_automaton": 1, "growth_rate": 2, "arithmeticity": 2,
     }
-    # growth rates, cross-checks and orbit sums of two potentials, the
-    # Manhattan pair and the normalized pair of the correlation exponent
-    assert len(compiles) <= 8
+    # the operators of the two potentials, which serve their growth rates,
+    # cross-checks and orbit sums, the Manhattan pair and the normalized
+    # pair of the correlation exponent
+    assert len(compiles) == 4
+    (aut,) = derived["_edge_rows"]  # the run's one acceptor, its table built once
+    assert derived == {"_edge_rows": [aut], "_components": [aut], "_word_maximal": [aut]}
 
 
 def test_resource_cap_exits_4(tmp_path):

@@ -559,6 +559,77 @@ def test_perron_data_on_a_period_2_component_with_80_blocks():
     assert gd.integrals() == pytest.approx([1.0], abs=1e-12)
 
 
+def _counting_eig(monkeypatch):
+    """The calls of np.linalg.eig from here on."""
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
+    return calls
+
+
+def test_dense_leading_eigen_is_the_tie_rule_pick_of_eig_bitwise(
+    schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2, monkeypatch
+):
+    """The dense path takes its eigenvalue from eigvals and its vector from
+    one solve; the value is the bits that eig and the tie rule give, and eig
+    itself does not run."""
+    word = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
+    pair = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [word, thermo.cylinder_potential(fuchsian, 3)]
+    )
+    assert pair.structure.n == 36 < thermo.DENSE_BELOW
+    mats = [pair.matrix([-s, -t]) for s in np.linspace(-1.0, 2.0, 12)
+            for t in np.linspace(-1.0, 1.5, 25)]
+    comp = shift.word_maximal_components(genus2_aut)[0]
+    genus2_word = thermo.TransferOperator(
+        genus2_aut, comp.vertices, [thermo.cylinder_potential(metrics.WordMetric(genus2), 1)]
+    )
+    mats += [pair.matrix([-(0.4 + 3.7j), -0.6]), genus2_word.matrix([-0.8])]
+    eig = np.linalg.eig
+    calls = _counting_eig(monkeypatch)
+    for mat in mats:
+        got = thermo.leading_eigen(mat)
+        w = eig(mat.toarray())[0]
+        assert got.value == complex(w[thermo._tie_rule(w)])
+        assert got.residual <= thermo.RESIDUAL_TOL
+    assert calls == []
+
+
+def test_a_singular_shift_falls_back_to_eig(free2_aut, free2_comp, monkeypatch):
+    # the 0-1 matrix of the complete graph on four vertices: eigvals gives
+    # its top eigenvalue 3 exactly, and A - 3 I is singular in the solve
+    complete = scipy.sparse.csr_matrix(np.ones((4, 4)) - np.eye(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(complete.toarray() - 3.0 * np.eye(4), np.ones(4))
+    calls = _counting_eig(monkeypatch)
+    eig = thermo.leading_eigen(complete, left=True)
+    assert eig.value == 3.0 and len(calls) == 2  # the right and the left vector
+    assert eig.residual <= thermo.RESIDUAL_TOL
+    assert np.allclose(eig.right, 0.5, rtol=0, atol=1e-14)
+    assert np.allclose(eig.left, 0.5, rtol=0, atol=1e-14)
+    # the F2 0-1 matrix: eigvals gives 2.999999999999999, whose shift the
+    # solve handles, so eig does not run
+    calls.clear()
+    adjacency = thermo.TransferOperator(free2_aut, free2_comp.vertices, [], depth=1).matrix([])
+    assert abs(thermo.leading_eigen(adjacency).value - 3.0) <= 1e-15 and calls == []
+
+
+def test_the_solve_passes_where_lapacks_vector_missed(monkeypatch):
+    # the badly scaled 4x4 matrix of the next test at s = 4: entries from
+    # 7e-20 to 4.5e-4, where eig's back-transformed vector misses the check
+    group = groups.standard_schottky((3.0, 30.0))
+    aut = automaton.build_shortlex_acceptor(group)
+    comp = shift.word_maximal_components(aut)[0]
+    pot = thermo.cylinder_potential(metrics.FuchsianOrbit(group), 1)
+    mat = thermo.TransferOperator(aut, comp.vertices, [pot]).matrix([-4.0])
+    w, vr = np.linalg.eig(mat.toarray())
+    i = thermo._tie_rule(w)
+    x = thermo._unit(vr[:, i])
+    assert np.linalg.norm(mat @ x - w[i] * x) > thermo.RESIDUAL_TOL * abs(w[i])
+    calls = _counting_eig(monkeypatch)
+    eig = thermo.leading_eigen(mat)
+    assert eig.value == w[i] and eig.residual <= thermo.RESIDUAL_TOL and calls == []
+
+
 def test_badly_scaled_dense_operator_passes_the_residual_check(tmp_path):
     # at s = 4 the 4x4 matrix has entries from 7e-20 to 4.5e-4 and a tied
     # top eigenvalue; LAPACK's vector misses the residual check
