@@ -51,6 +51,64 @@ class Level(NamedTuple):
     parent: np.ndarray
 
 
+class Halves(NamedTuple):
+    """The paths of 0..n_max edges from each state of some starts in turn,
+    by halves.  A path of n edges is a prefix u of p = ceil(n/2) edges, a
+    path of ``prefix[p]``, followed by a suffix of s = floor(n/2) edges from
+    u's end state.  ``suffix`` walks every state in turn, so the suffixes of
+    s edges from state q are rows ``first[s][q]`` .. ``first[s][q + 1] - 1``
+    of ``suffix[s]``.  The walk of n edges lists, for each prefix in turn,
+    its suffixes in order: walk order is prefix-major."""
+
+    prefix: list
+    suffix: list
+    first: list
+
+    def blocks(self, n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The paths of n edges as blocks (rows, cols, at): row i of a
+        block is prefix ``rows[i]`` of ``prefix[ceil(n/2)]`` followed by the
+        suffixes ``cols[i]`` (or ``cols[0]``) of ``suffix[floor(n/2)]``,
+        ``cols`` an index array of shape (len(rows), L) or (1, L), and
+        path (i, j) of the block is path ``at[i] + j`` of the walk of n
+        edges.  A level of at most ``chunk`` paths is one block per number
+        of suffixes.  A larger one is cut by end state, at most ``chunk``
+        paths or one prefix per block, so that all rows of a block share
+        one run of suffixes (``cols`` of shape (1, L))."""
+        state, first = self.prefix[(n + 1) // 2].state, self.first[n // 2]
+        width = np.diff(first)[state]
+        start = np.cumsum(width) - width
+        if width.sum() <= chunk:
+            for w in np.unique(width[width > 0]).tolist():
+                rows = np.flatnonzero(width == w)
+                yield rows, first[state[rows], None] + np.arange(w), start[rows]
+            return
+        order = np.argsort(state, kind="stable")  # the prefixes of each state, in walk order
+        bounds = np.searchsorted(state[order], np.arange(len(first)))
+        for q in range(len(first) - 1):
+            rows, cols = order[bounds[q]:bounds[q + 1]], np.arange(first[q], first[q + 1])[None]
+            step = max(chunk // max(cols.size, 1), 1)
+            for lo in range(0, len(rows) if cols.size else 0, step):
+                yield rows[lo:lo + step], cols, start[rows[lo:lo + step]]
+
+    def fill(self, n: int, meets: Sequence, outs: Sequence, chunk: int) -> None:
+        """Write the distances that each metric's meet (``MetricModel.meet``)
+        gives the paths of n edges into its array of ``outs``, in walk
+        order, block by block.  A block's rows go in as whole slices,
+        through a view of each out array whose row k is out[k:k + width]."""
+        windows: dict = {}
+        for rows, cols, at in self.blocks(n, chunk):
+            width = cols.shape[1]
+            if width not in windows:
+                windows[width] = [np.lib.stride_tricks.as_strided(
+                    out, (len(out) - width + 1, width), out.strides * 2) for out in outs]
+            for meet, window in zip(meets, windows[width]):
+                window[at] = meet(n, rows, cols)
+
+    def size(self, n: int) -> int:
+        """The number of paths of n edges."""
+        return int(np.diff(self.first[n // 2])[self.prefix[(n + 1) // 2].state].sum())
+
+
 @dataclass(frozen=True)
 class GeodesicAutomaton:
     group: GroupPresentation = field(repr=False, compare=False)
@@ -160,6 +218,27 @@ class GeodesicAutomaton:
         """The paths of 0..n_max edges from each state of ``starts`` in turn,
         edges restricted like ``accepted_counts``; level 0 holds the starts."""
         return _walk_edges(self._edges(vertices), starts, n_max)
+
+    def _halves(
+        self, starts: Sequence[int], n_max: int, vertices: Optional[frozenset]
+    ) -> Halves:
+        """The paths of 0..n_max edges from each state of ``starts`` in
+        turn, edges restricted like ``accepted_counts``, as Halves: the
+        paths of up to ceil(n_max/2) edges from the starts and those of up
+        to floor(n_max/2) edges from every state, on one edge table.  Each
+        is made once per acceptor and kept."""
+        key = ("halves", tuple(np.asarray(starts).tolist()), n_max, vertices)
+        if key in self._memo:
+            return self._memo[key]
+        edges = self._edges(vertices)
+        prefix = list(_walk_edges(edges, starts, (n_max + 1) // 2))
+        suffix, first, states = [], [], np.arange(self.n_states)
+        for level in _walk_edges(edges, states, n_max // 2):
+            root = states if level.length == 0 else root[level.parent]
+            suffix.append(level)
+            first.append(np.searchsorted(root, np.arange(self.n_states + 1)))
+        self._memo[key] = Halves(prefix, suffix, first)
+        return self._memo[key]
 
     def accepted_words(self, n_max: int) -> Iterator[tuple[Word, int]]:
         """Yield (word, end_state) for every accepted word of length <= n_max."""

@@ -518,9 +518,9 @@ def cmd_scan(run: Run) -> int:
         run.setting("scan", "t_max", _real),
         run.setting("scan", "points"),
     )
-    points = spectral_scan(
-        run.automaton, run.component, run.potentials[0], v, [float(t) for t in grid]
-    )
+    potential = run.potentials[0]
+    points = spectral_scan(run.automaton, run.component, potential, v,
+                           [float(t) for t in grid], op=run.operator(potential))
     body = "t,rho,unit_distance,gap,exact\n" + "".join(
         f"{p.t!r},{p.rho!r},{p.unit_distance!r},{p.gap!r},{int(p.exact)}\n"
         for p in points

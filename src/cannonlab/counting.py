@@ -5,8 +5,10 @@ Poincare partial sums with their transfer-operator form, fits the leading
 exponential asymptotic and the power-saving error term, and produces the
 pair-correlation counts for two metrics on the same group.
 
-Balls are enumerated by walking the coding in blocks of subtrees, and the
-distances of each level come from the metric's batched ``level_kernel``.
+Balls are enumerated by halves, with no walk of the ball: every word of
+length n is a prefix of ceil(n/2) letters followed by a suffix of
+floor(n/2), so the acceptor walks two small tables (``Halves``) and each
+metric's ``meet`` fills the spheres from (prefix, suffix slice) blocks.
 Everything here is single-threaded and deterministic.
 """
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import GeodesicAutomaton, Level, checked_acceptor
+from .automaton import GeodesicAutomaton, checked_acceptor
 from .metrics import MetricModel
 from .shift import Component, word_maximal_components
 from .thermo import CylinderPotential, TransferOperator
@@ -32,7 +34,7 @@ class CountingError(Exception):
     pass
 
 
-_BLOCK = 1 << 16  # words of the outermost sphere per block of a ball walk
+_CHUNK = 1 << 14  # words per block of a sphere, or one prefix
 
 
 def sphere_distance_arrays(
@@ -40,8 +42,8 @@ def sphere_distance_arrays(
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> list[np.ndarray]:
     """Distances d(o,x) grouped by word length |x|_S = 0..n_max: the words
-    of the acceptor that ``checked_acceptor`` picks, walked by
-    ``_ball_levels`` through the metric's ``level_kernel``.  Each sphere is in shortlex order
+    of the acceptor that ``checked_acceptor`` picks, by halves through the
+    metric's ``meet`` (``_ball_arrays``).  Each sphere is in shortlex order
     (that of ``group.sphere_words``), so arrays for metrics on the same
     group may be combined entrywise.  The spheres are views of one array
     over the ball."""
@@ -54,62 +56,28 @@ def _spheres(ball: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return np.split(ball, np.cumsum(sizes)[:-1])
 
 
-def _ball_levels(
-    aut: GeodesicAutomaton, n_max: int, vertices: Optional[frozenset]
-) -> Iterator[Level]:
-    """The accepted words of length 0..n_max, restricted like
-    ``accepted_counts``, as Levels in blocks: the levels shorter than k
-    whole, then, for consecutive runs of level-k words in shortlex order,
-    the run and the levels of its subtrees.  k is the least length at which
-    no word has more than _BLOCK descendants of length n_max, and a run has
-    at most _BLOCK of them.  A level's ``parent`` indexes the last level
-    before it of one length less.  Within a sphere, shortlex order is
-    prefix-major, so the levels of one length follow each other in the
-    sphere's shortlex order."""
-    edges, below = aut._edges(vertices), aut._path_counts(n_max, vertices)
-    k, present = 0, np.array([aut.initial])  # the states k edges reach
-    while max(below[n_max - k][present], default=0) > _BLOCK:
-        out = edges.slot[present]
-        present, k = np.unique(edges.target[out[out >= 0]]), k + 1
-    one = np.zeros(1, dtype=np.int64)
-    roots = Level(0, np.array([aut.initial]), one, one)
-    if k:
-        *prefix, roots = aut._levels([aut.initial], k, vertices)
-        yield from prefix
-    weight = below[n_max - k][roots.state].tolist()
-    lo = 0
-    while lo < len(weight):
-        hi, size = lo + 1, weight[lo]
-        while hi < len(weight) and size + weight[hi] <= _BLOCK:
-            size, hi = size + weight[hi], hi + 1
-        levels = aut._levels(roots.state[lo:hi], n_max - k, vertices)
-        next(levels)  # the run itself, without its parents in level k - 1
-        yield Level(k, *(a[lo:hi] for a in roots[1:]))
-        for level in levels:
-            yield level._replace(length=k + level.length)
-        lo = hi
-
-
 def _ball_arrays(
     metrics: Sequence[MetricModel], n_max: int, cap: int,
     automaton: Optional[GeodesicAutomaton] = None,
     vertices: Optional[frozenset] = None,
 ) -> tuple[list[np.ndarray], list[int]]:
     """The distances of every metric over the ball, sphere after sphere in
-    shortlex order, from one walk of it, and the sphere sizes.  The sizes
-    are counted first, and a ball larger than ``cap`` raises before any
-    array is allocated; each level's distances are then written straight
-    into place."""
+    shortlex order, and the sphere sizes.  The sizes are counted first, and
+    a ball larger than ``cap`` raises before any array is allocated.  The
+    acceptor then walks the halves once (``_halves``), each metric meets
+    them once, and each sphere is filled straight into place, block by
+    block (``Halves.blocks``): at most _CHUNK words, or one prefix, at a
+    time.  Shortlex order is prefix-major, so each row of a block is one
+    run of its sphere."""
     automaton = checked_acceptor(metrics[0].group, automaton, n_max, cap, CountingError)
     sizes = automaton.accepted_counts(n_max, vertices, cap)
+    # the result before the halves: the other way round, repeated balls
+    # raised the process's peak RSS by about 5 MB
     balls = [np.empty(sum(sizes)) for _ in metrics]
-    kernels = [m.level_kernel() for m in metrics]
-    end = np.cumsum([0] + sizes[:-1])  # where the next word of each length goes
-    for level in _ball_levels(automaton, n_max, vertices):
-        lo, hi = end[level.length], end[level.length] + len(level.state)
-        for ball, kernel in zip(balls, kernels):
-            ball[lo:hi] = kernel(level)
-        end[level.length] = hi
+    halves = automaton._halves([automaton.initial], n_max, vertices)
+    meets = [m.meet(halves) for m in metrics]
+    for n, spheres in enumerate(zip(*(_spheres(ball, sizes) for ball in balls))):
+        halves.fill(n, meets, spheres, _CHUNK)
     return balls, sizes
 
 
@@ -493,7 +461,7 @@ def correlate(
     automaton: Optional[GeodesicAutomaton] = None,
 ) -> CorrelationReport:
     """Exact pair-correlation counts M(T) for two growth-normalized metrics
-    on one group, from one walk of the ball, with exponential fits with and
+    on one group, from one walk of the halves, with exponential fits with and
     without the 1/sqrt(T) correction."""
     if eps <= 0:
         raise CountingError("eps must be positive")

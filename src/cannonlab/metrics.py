@@ -7,8 +7,10 @@ walk (closed form on free groups for the uniform walk, numeric absorbing
 solve otherwise), hyperbolic-plane orbit metric of a Schottky matrix model,
 and linear combinations of the above.
 
-Each metric also evaluates whole levels of a walk over the coding at once
-(``level_kernel``), for enumeration and transfer-operator assembly alike;
+Each metric also evaluates whole levels of paths over the coding at once,
+by halves (``meet``): it computes half data along the prefixes and along
+the suffixes of ``automaton.Halves``, then meets a prefix with each of its
+suffixes, for enumeration and transfer-operator assembly alike.
 ``dist_word`` is its one-word case, to the bit.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .automaton import GeodesicAutomaton, Level, Multiplier, checked_acceptor
+from .automaton import GeodesicAutomaton, Halves, Multiplier, checked_acceptor
 from .groups import (
     DEFAULT_SPHERE_CAP,
     ConjClass,
@@ -64,9 +66,12 @@ class WalkSpec:
         return self.include_identity == 0.0 and max(vals) - min(vals) < 1e-15
 
 
+Meet = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+
 class MetricModel:
-    """Base evaluator of d(o, g), one word at a time (``dist_word``) or one
-    level of a walk at a time (``level_kernel``)."""
+    """Base evaluator of d(o, g), one word at a time (``dist_word``) or
+    block by block of a walk's paths, by halves (``meet``)."""
 
     kind = "abstract"
     # distance per generator for a metric that is |g|_S times a constant,
@@ -88,19 +93,20 @@ class MetricModel:
     def dist(self, g: Element) -> float:
         return self.dist_word(g.word)
 
-    def level_kernel(self) -> Callable[[Level], np.ndarray]:
-        """The batched d(o, .): a function fed the levels of a walk from
-        level 0, returning the distances of each level's words, which must
-        be normal forms.  A level's ``parent`` indexes the last level fed
-        of one length less: a plain walk (``GeodesicAutomaton.walk`` or
-        ``_levels``) or the block walk of ``counting._ball_levels``.
-        Kernels keep state per length, for the last level fed of it.
-        Radial metrics read step * length; every other metric defines its
-        own kernel."""
+    def meet(self, halves: Halves) -> Meet:
+        """The batched d(o, .), by halves: a function of a block (n, rows,
+        cols) of ``Halves.blocks`` that returns the distances of its paths
+        of n edges, prefix ``rows[i]`` of ``halves.prefix[ceil(n/2)]``
+        followed by suffix ``cols[i, j]`` (or ``cols[0, j]``) of
+        ``halves.suffix[floor(n/2)]``, as a (len(rows), cols.shape[1])
+        array.  The paths must spell normal forms.  A metric computes its
+        half data along the two walks once, here, and each call meets them.
+        Radial metrics read step * n; every other metric defines its own
+        meet."""
         step = self.radial_step
         if step is None:
             raise NotImplementedError
-        return lambda level: np.full(len(level.state), step * level.length)
+        return lambda n, rows, cols: np.full((len(rows), cols.shape[1]), step * n)
 
 
 class WordMetric(MetricModel):
@@ -173,11 +179,20 @@ class _Ball:
 
     def step(self, n: int, state, index, column):
         """The children of words ``index`` of level n, in ``state``, by the
-        letters of rank ``column``, as (state, index in level n + 1).  The
-        state is -1 where the acceptor has no such edge."""
+        letters of rank ``column``, as (state, index in level n + 1), the
+        arrays broadcast together.  The state is -1 where the acceptor has
+        no such edge."""
         edge = self.edges.slot[state, column]
         child = self.first[n][index] + edge - self.edges.first[state]
         return np.where(edge >= 0, self.edges.target[edge], -1), child
+
+    def walked(self, n: int, state, index, column):
+        """``step`` along paths that the acceptor must accept."""
+        state, index = self.step(n, state, index, column)
+        if np.any(state < 0):
+            raise MetricError("a path fed to the Green metric is not accepted "
+                              "by the ball's acceptor")
+        return state, index
 
     def word(self, n: int, i: int) -> Word:
         """Word i of level n, read back up its parents."""
@@ -280,9 +295,9 @@ class GreenNumeric(MetricModel):
     """Green metric -log G(o, g) / G(o, o) of a killed walk.  The one solve
     made at construction serves every element: ``dist_word`` reads the
     distance at the word's walk position in the ball (at its length, in the
-    closed form), and ``level_kernel`` carries each word's state and
-    position in the ball's acceptor along the levels fed, so it builds no
-    word.  The acceptor is the one ``count_ball`` picks for the radius
+    closed form), and ``meet`` steps each path's state and position in the
+    ball's acceptor along the letters of its prefix, then along those of
+    its suffixes, so it builds no word.  The acceptor is the one ``count_ball`` picks for the radius
     absorbing_radius - 1 (``checked_acceptor``): a check kept on the group
     to that radius serves, so the build then solves no word problem."""
 
@@ -320,27 +335,34 @@ class GreenNumeric(MetricModel):
         self._check(len(word))
         return float(self._dist[len(word) if self._ball is None else self._ball.position(word)])
 
-    def level_kernel(self) -> Callable[[Level], np.ndarray]:
-        ball, dist = self._ball, self._dist
-        # per length, of the last level fed: each word's state and index in
-        # its level of the ball
-        walked: dict[int, tuple] = {}
+    def meet(self, halves: Halves) -> Meet:
+        ball, dist, ranks = self._ball, self._dist, self.group.letter_ranks
+        if ball is not None:
+            # each prefix's state and index in its level of the ball, per
+            # level within reach, and each suffix's letter ranks (row m:
+            # its letter m + 1), per level
+            prefix, letters = [], [np.empty((0, len(halves.suffix[0].state)), np.int64)]
+            for level in halves.prefix[:self._reach + 1]:
+                if level.length:
+                    state, index = (a[level.parent] for a in prefix[-1])
+                    prefix.append(ball.walked(level.length - 1, state, index, ranks(level.label)))
+                else:
+                    size = len(level.state)
+                    prefix.append((np.full(size, ball.initial), np.zeros(size, np.int64)))
+            for level in halves.suffix[1:]:
+                letters.append(np.vstack([letters[-1][:, level.parent], ranks(level.label)]))
 
-        def green(level: Level) -> np.ndarray:
-            n, size = level.length, len(level.state)
-            if n == 0 or not size:
-                if ball is not None:
-                    walked[n] = (np.full(size, ball.initial), np.zeros(size, np.int64))
-                return np.zeros(size)
+        def green(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            shape = (len(rows), cols.shape[1])
+            if n == 0:
+                return np.zeros(shape)
             self._check(n)
             if ball is None:
-                return np.full(size, dist[n])
-            state, index = (a[level.parent] for a in walked[n - 1])
-            state, index = ball.step(n - 1, state, index, ball.group.letter_ranks(level.label))
-            if np.any(state < 0):
-                raise MetricError("a word fed to the Green kernel is not accepted "
-                                  "by the ball's acceptor")
-            walked[n] = (state, index)
+                return np.full(shape, dist[n])
+            p = (n + 1) // 2
+            state, index = (a[rows, None] for a in prefix[p])
+            for m, column in enumerate(letters[n // 2][:, cols]):
+                state, index = ball.walked(p + m, state, index, column)
             return dist[ball.offset[n] + index]
 
         return green
@@ -352,7 +374,10 @@ def _base_point_frame(z: complex) -> np.ndarray:
     return np.array([[y, z.real / y], [0.0, 1.0 / y]])
 
 
-_CHUNK = 1 << 14  # elements per step of a level kernel
+# a half whose q passes this is rescaled; the square stays finite, so two
+# halves meet without overflow
+_RESCALE = 1e150
+_LOG_FAR = math.log(1e20)
 
 
 def _orbit_step(m: tuple, gens: tuple, label, log_scale) -> tuple:
@@ -360,28 +385,41 @@ def _orbit_step(m: tuple, gens: tuple, label, log_scale) -> tuple:
     m = (a, b, c, d) of M, numpy arrays or scalars, with the same bits
     either way; ``gens[e][label]`` is entry e of the generator.  Returns
     the entries, the log scale and q = a^2 + b^2 + c^2 + d^2.  Where q
-    passes 1e200, the entries are divided by sqrt(q) and its log is added
-    to ``log_scale``."""
+    passes _RESCALE, the entries are divided by sqrt(q) and its log is
+    added to ``log_scale``."""
     (a, b, c, d), (ga, gb, gc, gd) = m, [g[label] for g in gens]
     a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
     q = a * a + b * b + c * c + d * d
     # the largest q, in one reduction that is cheap on a scalar too
-    if np.maximum.reduce(q, axis=None) > 1e200:
-        top = np.where(q > 1e200, q, 1.0)
+    if np.maximum.reduce(q, axis=None) > _RESCALE:
+        top = np.where(q > _RESCALE, q, 1.0)
         root = np.sqrt(top)
         a, b, c, d, q = a / root, b / root, c / root, d / root, q / top
         log_scale = log_scale + np.log(root)
     return (a, b, c, d), log_scale, q
 
 
-def _distance(log_scale, q):
-    """d from the log scale and q of the (rescaled) matrix, elementwise:
-    cosh d = q / 2 times exp(2 log_scale).  Past q = 1e200, acosh x =
-    log 2x to rounding, so a rescaled matrix reads log q + 2 log_scale."""
-    dist = np.arccosh(np.maximum(q / 2.0, 1.0))
+def _gram(a, b, c, d) -> tuple:
+    """The entries 11, 12 and 22 of M^T M, M = [[a, b], [c, d]]; those of
+    M M^T are ``_gram(a, c, b, d)``."""
+    return a * a + c * c, a * b + c * d, b * b + d * d
+
+
+def _distance(log_scale, a: tuple, b: tuple):
+    """d of a product UV, elementwise, from A = U^T U and B = V V^T
+    (``_gram``) and the sum of the halves' log scales: cosh d = q / 2
+    times exp(2 log_scale), with q = ||UV||_F^2 = tr(AB) = A11 B11 +
+    2 A12 B12 + A22 B22.  Past q = 1e20, acosh x = log 2x to rounding, so
+    a rescaled product reads log q + 2 log_scale there; a rescaled one
+    short of that (only cancellation between its halves could make one) is
+    unscaled first."""
+    q = a[0] * b[0] + 2.0 * a[1] * b[1] + a[2] * b[2]
     if np.maximum.reduce(log_scale, axis=None) > 0.0:
-        dist = np.where(log_scale > 0.0, np.log(q) + 2.0 * log_scale, dist)
-    return dist
+        log_q = np.log(q) + 2.0 * log_scale
+        far = (log_scale > 0.0) & (log_q > _LOG_FAR)
+        q = q * np.exp(2.0 * np.where(far, 0.0, log_scale))
+        return np.where(far, log_q, np.arccosh(np.maximum(q / 2.0, 1.0)))
+    return np.arccosh(np.maximum(q / 2.0, 1.0))
 
 
 class FuchsianOrbit(MetricModel):
@@ -389,9 +427,11 @@ class FuchsianOrbit(MetricModel):
     the matrix representation, in the upper half-plane: cosh d =
     ||C^-1 M C||_F^2 / 2 for det-1 M and C: i -> base point, which avoids the
     cancellation of the Mobius image formula.  The generators are conjugated
-    by C once, so the product (``_orbit_step``) and distance (``_distance``)
-    run on C^-1 M C itself, on the arrays of a level (``level_kernel``) and
-    on the scalars of one word (``_eval``) alike."""
+    by C once, so the running products (``_orbit_step``) are C^-1 U C of a
+    prefix and C^-1 V C of a suffix, both from the identity, and
+    ``_distance`` reads that of the word UV from their Gram matrices: on the
+    arrays of a walk's halves (``meet``) and on the scalars of one word
+    (``_eval``, prefix ceil(n/2), suffix floor(n/2)) alike."""
 
     kind = "fuchsian_orbit"
 
@@ -419,28 +459,37 @@ class FuchsianOrbit(MetricModel):
         return m, log_scale, q
 
     def _eval(self, word: Word) -> float:
-        return float(_distance(*self._product(word)[1:]))
+        p = (len(word) + 1) // 2
+        (a, b, c, d), lu, _ = self._product(word[:p])
+        (e, f, g, h), lv, _ = self._product(word[p:])
+        return float(_distance(lu + lv, _gram(a, b, c, d), _gram(e, g, f, h)))
 
-    def level_kernel(self) -> Callable[[Level], np.ndarray]:
+    def meet(self, halves: Halves) -> Meet:
         r = self.group.rank
-        # per length, of the last level fed: rows a, b, c, d of C^-1 M C, log_scale
-        states: dict[int, np.ndarray] = {}
 
-        def fuchsian(level: Level) -> np.ndarray:
-            n = len(level.state)
-            if level.length == 0:
-                states[0] = np.repeat([[1.0], [0.0], [0.0], [1.0], [0.0]], n, axis=1)
-                return np.zeros(n)
-            state, new, dist = states[level.length - 1], np.empty((5, n)), np.empty(n)
-            # in chunks, so that the temporaries stay small and in cache
-            for lo in range(0, n, _CHUNK):
-                part = slice(lo, lo + _CHUNK)
-                *m, ls = np.take(state, level.parent[part], axis=1)
-                m, ls, q = _orbit_step(m, self._gens, level.label[part] + r, ls)
-                new[:4, part], new[4, part] = m, ls
-                dist[part] = _distance(ls, q)
-            states[level.length] = new
-            return dist
+        def grams(levels, transpose: bool) -> list:
+            """Per level, the log scale and the Gram entries (of M^T M, or
+            of M M^T when ``transpose``) of each path's running product M,
+            multiplied out from the identity."""
+            out, m, ls = [], None, None
+            for level in levels:
+                if level.length == 0:
+                    one, zero = np.ones(len(level.state)), np.zeros(len(level.state))
+                    m, ls = (one, zero, zero, one), zero
+                else:
+                    m, ls, _ = _orbit_step([e[level.parent] for e in m], self._gens,
+                                           level.label + r, ls[level.parent])
+                a, b, c, d = m
+                out.append((ls, _gram(a, c, b, d) if transpose else _gram(a, b, c, d)))
+            return out
+
+        prefix, suffix = grams(halves.prefix, False), grams(halves.suffix, True)
+        rescaled = any(np.any(ls > 0.0) for ls, _ in prefix + suffix)
+
+        def fuchsian(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            (lu, a), (lv, b) = prefix[(n + 1) // 2], suffix[n // 2]
+            ls = lu[rows, None] + lv[cols] if rescaled else 0.0
+            return _distance(ls, [e[rows, None] for e in a], [e[cols] for e in b])
 
         return fuchsian
 
@@ -467,9 +516,9 @@ class LinearCombination(MetricModel):
     def _eval(self, word: Word) -> float:
         return sum(c * m.dist_word(word) for c, m in self.terms)
 
-    def level_kernel(self) -> Callable[[Level], np.ndarray]:
-        parts = [(c, m.level_kernel()) for c, m in self.terms]
-        return lambda level: sum(c * part(level) for c, part in parts)
+    def meet(self, halves: Halves) -> Meet:
+        parts = [(c, m.meet(halves)) for c, m in self.terms]
+        return lambda n, rows, cols: sum(c * part(n, rows, cols) for c, part in parts)
 
 
 # -- derived quantities -----------------------------------------------------

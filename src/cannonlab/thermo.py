@@ -151,8 +151,10 @@ class TransferOperator:
     potential, holding its value on every window (edge).  ``matrix(c)``
     evaluates exp(sum_i c_i psi_i) on every edge in one vectorized step.
     psi(window) = D_j[prefix] - D_(j-1)[tail[prefix]] for the window's j-edge
-    prefix, j = min(potential depth, operator depth), D_j the metric's level
-    kernel on the j-edge paths: bit for bit ``CylinderPotential.value``."""
+    prefix, j = min(potential depth, operator depth), D_j the distances of
+    the j-edge paths, which the metric's ``meet`` reads off the halves of
+    the operator's walk (``_distances``): bit for bit
+    ``CylinderPotential.value``."""
 
     def __init__(
         self,
@@ -165,11 +167,11 @@ class TransferOperator:
         self.structure = transfer_matrix(aut, vertices, k)
         self.vertices, self.depth = vertices, k
         walk = self.structure.walk
+        halves = aut._halves(walk[0][0].state, k, vertices)
         self.psi = np.empty((len(potentials), self.structure.matrix.nnz))
         for i, p in enumerate(potentials):
-            j, kernel = min(p.depth, k), p.metric.level_kernel()
-            d = [kernel(level) for level, _, _ in walk[: j + 1]]
-            row = d[j] - d[j - 1][walk[j][1]]
+            j, meet = min(p.depth, k), p.metric.meet(halves)
+            row = _distances(halves, meet, j) - _distances(halves, meet, j - 1)[walk[j][1]]
             for level, _, _ in walk[j + 1 :]:
                 row = row[level.parent]  # from each prefix to its extensions
             self.psi[i] = row
@@ -181,6 +183,14 @@ class TransferOperator:
         return scipy.sparse.csr_matrix(
             (np.exp(np.asarray(c) @ self.psi), s.indices, s.indptr), shape=s.shape
         )
+
+
+def _distances(halves, meet, n: int) -> np.ndarray:
+    """D_n: the distances of the paths of n edges of ``halves``, in walk
+    order, from a metric's ``meet``."""
+    d = np.empty(halves.size(n))
+    halves.fill(n, [meet], [d], len(d))
+    return d
 
 
 # -- the spectral routine ----------------------------------------------------
@@ -477,16 +487,16 @@ def gibbs_ratio_check(
     gibbs_data.  S_n is the Birkhoff sum over all n positions, the windows
     at the end truncated (which keeps the constants depth-independent).  It
     is carried along the levels: psi summed over the full windows, plus
-    D_(k-1) of the final k-1 edges, to which the truncated windows
-    telescope.  Returns (min, max)."""
+    D_(k-1) of the final k-1 edges (the blocks), to which the truncated
+    windows telescope.  Returns (min, max)."""
     k = gd.op.depth
     q = gd.transition()
-    kernel = potential.metric.level_kernel()
     lo, hi = math.inf, -math.inf
     for level, tail, _ in _paths(aut, comp.vertices, depth_test):
         n = level.length
-        if n < k:
-            d = kernel(level)  # D_n; at n = k-1, of the blocks
+        if n == 0:
+            halves = aut._halves(level.state, k - 1, comp.vertices)
+            d = _distances(halves, potential.metric.meet(halves), k - 1)
         if n == k - 1:
             # the cylinders of k-1 edges are the blocks: their mass is pi
             last, mass = np.arange(len(level.state)), gd.stationary
@@ -608,10 +618,14 @@ def spectral_scan(
     potential: CylinderPotential,
     v: float,
     t_grid: Sequence[float],
+    op: Optional[TransferOperator] = None,
 ) -> list[ScanPoint]:
     """Leading eigenvalue of L_{v+it} over the grid, from one compiled
-    operator; see leading_eigen for the solver and its tie rule."""
-    op = TransferOperator(aut, comp.vertices, [potential])
+    operator; see leading_eigen for the solver and its tie rule.  A caller
+    that keeps the compiled operator of the potential on the component
+    passes it as ``op``."""
+    if op is None:
+        op = TransferOperator(aut, comp.vertices, [potential])
     out = []
     for t in t_grid:
         lead = leading_eigen(op.matrix([-(v + 1j * t)])).value

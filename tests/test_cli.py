@@ -624,6 +624,26 @@ def test_report_builds_and_solves_each_shared_input_once(tmp_path, monkeypatch):
     assert derived == {"_edge_rows": [aut], "_components": [aut], "_word_maximal": [aut]}
 
 
+def test_scan_compiles_its_operator_once(tmp_path, monkeypatch):
+    # the growth rate and the scan share the run's operator of the potential
+    cfg = write_config(tmp_path, {
+        "group": {"family": "schottky", "traces": [3.0, 5.0]},
+        "metrics": [{"kind": "fuchsian_orbit"}],
+        "thermo": {"depth": 4},
+        "scan": {"t_min": 0.5, "t_max": 6.0, "points": 5},
+    })
+    compiles = []
+    init = thermo.TransferOperator.__init__
+    monkeypatch.setattr(
+        thermo.TransferOperator,
+        "__init__",
+        lambda self, *args, **kwargs: compiles.append(1) or init(self, *args, **kwargs),
+    )
+    code, _ = run(tmp_path, "scan", "--config", cfg)
+    assert code == 0
+    assert len(compiles) == 1
+
+
 def test_resource_cap_exits_4(tmp_path):
     cfg = write_config(tmp_path, {"counting": {"n_max": 30, "eps": 0.5}})
     code, _ = run(tmp_path, "count", "--config", cfg)

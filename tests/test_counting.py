@@ -241,13 +241,13 @@ def test_fuchsian_distances_need_only_generator_matrices(schottky_aut, schottky_
         raise AssertionError("per-word distance on a batched path")
 
     walks = []
-    levels = automaton.GeodesicAutomaton._levels
+    halves = automaton.GeodesicAutomaton._halves
     monkeypatch.setattr(groups.SchottkyGroup, "matrix_of", one_letter)
     monkeypatch.setattr(metrics.MetricModel, "dist_word", forbidden)
     monkeypatch.setattr(
         automaton.GeodesicAutomaton,
-        "_levels",
-        lambda self, *args: walks.append(args) or levels(self, *args),
+        "_halves",
+        lambda self, *args: walks.append(args) or halves(self, *args),
     )
     schottky = schottky_aut.group
     d = metrics.FuchsianOrbit(schottky)
@@ -265,12 +265,12 @@ def test_fuchsian_distances_need_only_generator_matrices(schottky_aut, schottky_
 
 def test_caps_fire_before_any_distance(free2_aut, free2_comp, free2, fuchsian, genus2, monkeypatch):
     started = []
-    levels = automaton.GeodesicAutomaton._levels
-    monkeypatch.setattr(
-        automaton.GeodesicAutomaton,
-        "_levels",
-        lambda self, *args: started.append(args) or levels(self, *args),
-    )
+    for name in ("_levels", "_halves"):
+        walk = getattr(automaton.GeodesicAutomaton, name)
+        monkeypatch.setattr(
+            automaton.GeodesicAutomaton, name,
+            lambda self, *args, walk=walk: started.append(args) or walk(self, *args),
+        )
     ball = 1 + 2 * (3 ** 11 - 1)  # |B(11)| in F2
     with pytest.raises(groups.ResourceCapError, match=f"visit {ball} words, cap 1000"):
         counting.poincare_compare(
@@ -388,38 +388,51 @@ BLOCK_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [2, 7])
+@pytest.mark.parametrize("block", [1, 2, 7])
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_block_walk_gives_the_one_block_spheres_bit_for_bit(
     case, block, request, monkeypatch
 ):
+    """Spheres filled from the halves in blocks of at most ``block`` words
+    (or one prefix) are, bit for bit, those filled in one block per state,
+    which are the ``dist_word`` of the sphere words; one walk of the halves
+    serves every metric of a ball."""
     metric_list, aut, n_max = BLOCK_CASES[case](request.getfixturevalue)
-    monkeypatch.setattr(counting, "_BLOCK", 1 << 62)
+    monkeypatch.setattr(counting, "_CHUNK", 1 << 62)
     whole = [
         counting.sphere_distance_arrays(m, n_max, automaton=aut) for m in metric_list
     ]
-    walks = []
-    levels = automaton.GeodesicAutomaton._levels
+    for metric, want in zip(metric_list, whole):
+        for a, b in zip(want, sphere_word_reference(metric, n_max)):
+            assert np.array_equal(a, b)
+    walks, blocks = [], []
+    halves, split = automaton.GeodesicAutomaton._halves, automaton.Halves.blocks
     monkeypatch.setattr(
         automaton.GeodesicAutomaton,
-        "_levels",
-        lambda self, *args: walks.append(args) or levels(self, *args),
+        "_halves",
+        lambda self, *args: walks.append(args) or halves(self, *args),
     )
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    monkeypatch.setattr(
+        automaton.Halves, "blocks",
+        lambda self, n, chunk: (blocks.append((len(rows), cols.shape[1]))
+                                or (rows, cols, at) for rows, cols, at in split(self, n, chunk)),
+    )
+    monkeypatch.setattr(counting, "_CHUNK", block)
     for metric, want in zip(metric_list, whole):
         walks.clear()
         got = counting.sphere_distance_arrays(metric, n_max, automaton=aut)
+        assert len(walks) == 1
         assert [len(a) for a in got] == [len(a) for a in want]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-    # the ball splits into many blocks, walked one after another
-    per_ball = len(walks)
-    assert per_ball >= 8
+    # a block of more than ``block`` words is a single prefix with its suffixes
+    assert len(blocks) > n_max + 1
+    assert all(rows * width <= block or rows == 1 for rows, width in blocks)
     if len(metric_list) == 2:
-        # one walk of the ball feeds both metrics
+        # one walk of the halves feeds both metrics
         walks.clear()
         rep = counting.correlate(*metric_list, 0.5, n_max, automaton=aut)
-        assert len(walks) == per_ball
+        assert len(walks) == 1
         assert np.array_equal(rep.d_values, np.concatenate(whole[0]))
         assert np.array_equal(rep.dstar_values, np.concatenate(whole[1]))
 
@@ -428,7 +441,7 @@ def test_restricted_poincare_sums_do_not_depend_on_the_block(
     schottky_aut, schottky_comp, fuchsian, monkeypatch
 ):
     def compare(block):
-        monkeypatch.setattr(counting, "_BLOCK", block)
+        monkeypatch.setattr(counting, "_CHUNK", block)
         return counting.poincare_compare(
             schottky_aut, fuchsian, 0.5, 6, comps=[schottky_comp]
         )
@@ -437,6 +450,28 @@ def test_restricted_poincare_sums_do_not_depend_on_the_block(
     assert np.array_equal(whole.direct_sphere_sums, blocks.direct_sphere_sums)
     i = schottky_comp.index
     assert np.array_equal(whole.restricted_direct[i], blocks.restricted_direct[i])
+
+
+def test_a_ball_multiplies_no_word_beyond_its_halves(monkeypatch):
+    """The radius-12 Fuchsian ball multiplies the rows of its two half
+    tables, 1,457 prefixes from the initial state and 5,829 suffixes from
+    every state, and not one product per word of its 1,062,881; no walk
+    goes past the six edges of those tables."""
+    rows, levels = [], []
+    step, walk = metrics._orbit_step, automaton._walk_edges
+    monkeypatch.setattr(
+        metrics, "_orbit_step",
+        lambda m, gens, label, ls: rows.append(np.size(label)) or step(m, gens, label, ls),
+    )
+    monkeypatch.setattr(
+        automaton, "_walk_edges",
+        lambda *args: (levels.append(level) or level for level in walk(*args)),
+    )
+    fuchsian = metrics.FuchsianOrbit(groups.standard_schottky())
+    assert len(counting.count_ball(fuchsian, 12).distances) == 1 + 2 * (3 ** 12 - 1)
+    assert sum(rows) <= 1457 + 5829
+    assert max(level.length for level in levels) == 6
+    assert sum(len(level.state) for level in levels) == 1457 + 5829
 
 
 def _traced_peak(call):
@@ -449,8 +484,9 @@ def _traced_peak(call):
 
 
 def test_ball_memory_is_bounded_by_the_result(schottky, fuchsian):
-    """The walk holds one block of kernel state at a time, so the traced
-    peak stays within three times the bytes of the result."""
+    """The halves are small and the spheres are filled one block at a
+    time, so the traced peak stays within three times the bytes of the
+    result."""
     rep, peak = _traced_peak(lambda: counting.count_ball(fuchsian, 12))
     assert len(rep.distances) == 1 + 2 * (3 ** 12 - 1)
     assert peak <= 3 * rep.distances.nbytes

@@ -1,5 +1,6 @@
 """Metrics as distance models: closed forms, numeric solves."""
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_fuchsian_distance_matches_exact_rationals(schottky, base_point):
     gens = {s: [[Fraction(v) for v in row] for row in schottky.matrix_of((s,)).tolist()]
             for s in schottky.alphabet}
     exact = {(): [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]}
-    for w in schottky.ball_words(5)[1:]:
+    for w in schottky.ball_words(6)[1:]:  # sphere 6: two halves of 3 letters
         (a, b), (c, d) = exact[w[:-1]]
         (ga, gb), (gc, gd) = gens[w[-1]]
         exact[w] = [[a * ga + b * gc, a * gb + b * gd], [c * ga + d * gc, c * gb + d * gd]]
@@ -207,7 +208,7 @@ def test_green_numeric_lookup_matches_green_function(case, genus2, free2):
         green.dist_word(far)
 
 
-# -- level kernels -------------------------------------------------------------
+# -- distances by halves --------------------------------------------------------
 
 def _levels_with_words(aut, n_max):
     """The levels of the acceptor's walk, each with its words rebuilt."""
@@ -239,31 +240,107 @@ KERNEL_CASES = {
 }
 
 
+def _level_distances(metric, halves, n_max, chunk=1 << 14):
+    """The distances of the paths of 0..n_max edges, level by level, from
+    the metric's meet on ``halves``."""
+    meet = metric.meet(halves)
+    for n in range(n_max + 1):
+        d = np.empty(halves.size(n))
+        halves.fill(n, [meet], [d], chunk)
+        yield d
+
+
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_level_kernel_equals_dist_word_bitwise(case, request):
+    """Each level's distances, by halves through the metric's meet, are the
+    dist_word of the level's words, in walk order, bit for bit."""
     metric, aut, n_max = KERNEL_CASES[case](request.getfixturevalue)
-    kernel = metric.level_kernel()
-    for level, words in _levels_with_words(aut, n_max):
+    halves = aut._halves([aut.initial], n_max, None)
+    levels = zip(_levels_with_words(aut, n_max), _level_distances(metric, halves, n_max))
+    for (level, words), got in levels:
         want = np.array([metric.dist_word(w) for w in words])
-        assert np.array_equal(kernel(level), want), level.length
+        assert np.array_equal(got, want), level.length
+
+
+def _one_word_halves(word):
+    """The halves of one path spelling ``word`` from state 0: its prefix of
+    ceil(n/2) letters and, as the only suffix from state 0, the rest."""
+    p, one = (len(word) + 1) // 2, np.zeros(1, dtype=np.int64)
+
+    def chain(letters):
+        return [automaton.Level(m, one, np.array(letters[m - 1:m] or [0]), one)
+                for m in range(len(letters) + 1)]
+
+    return automaton.Halves(chain(word[:p]), chain(word[p:]),
+                            [np.array([0, 1])] * (len(word) - p + 1))
+
+
+def _meet_one(metric, word):
+    """d(o, word) from the metric's meet on the halves of the one word."""
+    return list(_level_distances(metric, _one_word_halves(word), len(word)))[-1][0]
+
+
+def _exact_log_norm(schottky, word):
+    """log ||M||_F^2 of the word's product, multiplied out in Fractions
+    from matrix_of's generator entries, so no overflow and no rounding."""
+    gens = {s: [[Fraction(v) for v in row] for row in schottky.matrix_of((s,)).tolist()]
+            for s in set(word)}
+    (a, b), (c, d) = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for s in word:
+        (ga, gb), (gc, gd) = gens[s]
+        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+    q = a * a + b * b + c * c + d * d
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+RESCALE_WORDS = {
+    # case: (word, whether its prefix and its suffix are rescaled)
+    "both_halves_past_the_threshold": ((2,) * 220, (True, True)),
+    "halves_below_1e200_product_past_1e308": ((2,) * 236, (True, True)),
+    "halves_just_below_the_threshold": ((2,) * 216, (False, False)),
+    "rescaled_prefix_only": ((2,) * 113 + (1,) * 112, (True, False)),
+    "rescaled_suffix_only": ((1,) * 112 + (2,) * 112, (False, True)),
+    "length_150": ((2, 1) * 75, (False, False)),
+    "length_151": ((2, 1) * 75 + (2,), (False, False)),
+    "length_301": ((2, 1) * 150 + (2,), (True, True)),
+    "length_302": ((2, 1) * 151, (True, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(RESCALE_WORDS))
+def test_fuchsian_halves_rescale_without_overflow(schottky, fuchsian, case):
+    """A half is rescaled past metrics._RESCALE, whose square stays finite,
+    so two halves meet without overflow, and a rescaled product reads
+    log 2x + 2 log_scale.  At base point i and these lengths, d =
+    acosh(||M||_F^2 / 2) = log ||M||_F^2 to rounding."""
+    word, rescaled = RESCALE_WORDS[case]
+    p = (len(word) + 1) // 2
+    assert 2.0 * metrics._RESCALE ** 2 < sys.float_info.max
+    assert (fuchsian._product(word[:p])[1] > 0.0,
+            fuchsian._product(word[p:])[1] > 0.0) == rescaled
+    got = fuchsian.dist_word(word)
+    assert _meet_one(fuchsian, word) == got
+    assert abs(got - _exact_log_norm(schottky, word)) <= 1e-12 * got
+
+
+def test_a_rescaled_product_short_of_the_log_range_is_unscaled():
+    # q = 2 at log scale 5: the true q / 2 is e^10, where acosh x and
+    # log 2x still differ by about 5e-10
+    got = metrics._distance(5.0, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    assert got == np.arccosh(np.exp(10.0))
+    assert abs(got - (math.log(2.0) + 10.0)) > 1e-10
 
 
 def test_fuchsian_kernel_rescales_like_the_scalar_path(schottky):
+    """Every prefix of a 301-letter word, by halves, is its dist_word bit for
+    bit, through the rescales of both halves."""
     f = metrics.FuchsianOrbit(schottky)
-    word = (2, 1) * 75
-    kernel = f.level_kernel()
-    one = np.zeros(1, dtype=np.int64)
-    got = [float(kernel(automaton.Level(0, one, one, one))[0])]
-    for n, s in enumerate(word, start=1):
-        got.append(float(kernel(automaton.Level(n, one, np.array([s]), one))[0]))
-    want = [f.dist_word(word[:n]) for n in range(len(word) + 1)]
+    word = (2, 1) * 150 + (2,)
+    got = [_meet_one(f, word[:n]) for n in range(0, len(word) + 1, 7)]
+    want = [f.dist_word(word[:n]) for n in range(0, len(word) + 1, 7)]
     assert np.array_equal(got, want)
-    # the entries passed 1e100, so the product was rescaled on the way
-    assert f._product(word)[1] > 0.0
-    # unscaled, the entries stay far below overflow; at base point i and
-    # this size, d = acosh(||M||_F^2 / 2) = log ||M||_F^2 to rounding
-    plain = schottky.matrix_of(word)
-    assert abs(got[-1] - math.log(float(np.sum(plain * plain)))) <= 1e-12 * got[-1]
+    # the entries passed the threshold, so both halves were rescaled
+    assert f._product(word[:151])[1] > 0.0 and f._product(word[151:])[1] > 0.0
 
 
 # -- the Green metric from the acceptor's walk ---------------------------------
@@ -356,9 +433,8 @@ def test_green_from_walk_positions_equals_the_word_built_solve(case):
         _, u = metrics._killed_walk(group, green.walk, radius)
         want = _reference_green(group, green.walk, radius)
         assert np.array_equal(u, want), radius
-        # every distance, through the kernel on the acceptor's walk
-        kernel = green.level_kernel()
-        got = np.concatenate([kernel(level) for level in aut.walk(radius - 1)])
+        # every distance, by halves on the acceptor
+        got = np.concatenate(counting.sphere_distance_arrays(green, radius - 1, automaton=aut))
         assert np.array_equal(got, [-math.log(g / want[0]) for g in want.tolist()])
 
 
@@ -399,17 +475,13 @@ def test_a_rewrite_outside_the_differences_raises(monkeypatch):
 def test_green_kernel_on_a_block_walk_equals_dist_word_bitwise(
     block, genus2, genus2_aut, monkeypatch
 ):
-    # in blocks of 2 the outer sphere comes in slices; in blocks of 8 each
-    # slice of level 2 is followed by its subtree
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    # blocks of at most 2 or 8 words: a prefix with more suffixes than
+    # that is a block of its own, and the prefixes of one state come in
+    # several blocks
+    monkeypatch.setattr(counting, "_CHUNK", block)
     monkeypatch.setattr(genus2, "_checked_acceptor", (genus2_aut, 4))
     green = metrics.GreenNumeric(genus2, absorbing_radius=5, safety_margin=2)
-    kernel, words, lengths = green.level_kernel(), {}, []
-    for level in counting._ball_levels(genus2_aut, 3, None):
-        n = level.length
-        words[n] = [words[n - 1][p] + (s,) for p, s in
-                    zip(level.parent.tolist(), level.label.tolist())] if n else [()]
-        want = np.array([green.dist_word(w) for w in words[n]])
-        assert np.array_equal(kernel(level), want), n
-        lengths.append(n)
-    assert lengths.count(3) > 1 and (block == 2 or lengths != sorted(lengths))
+    spheres = counting.sphere_distance_arrays(green, 3, automaton=genus2_aut)
+    for (level, words), got in zip(_levels_with_words(genus2_aut, 3), spheres):
+        want = np.array([green.dist_word(w) for w in words])
+        assert np.array_equal(got, want), level.length
