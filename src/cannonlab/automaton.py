@@ -554,13 +554,20 @@ def checked_acceptor(
     """The acceptor whose walk enumerates the group's balls: the given one,
     else a free group's own (the reduced words, which is exact), else the
     shortlex acceptor checked against the word problem to length n_max,
-    capped as in ``validate_bijection``.  A passing check is kept on the
-    group with its radius and serves every ball up to that radius; a failed
-    one raises ``error`` and is not kept, as does a given acceptor of
-    another group."""
+    capped as in ``validate_bijection``.  A free group's acceptor is built
+    once per group.  A passing check is kept on the group with its radius
+    and serves every ball up to that radius; a failed one raises ``error``
+    and is not kept, as does a given acceptor of another group."""
     if automaton is None:
         if isinstance(group, FreeGroup):
-            return build_shortlex_acceptor(group)
+            # the group keeps the acceptor's parts, not the acceptor: that
+            # refers back to the group, a cycle that outlives the group's
+            # last use.  Each ball derives its own tables, which kept on
+            # the group would outlive the ball
+            if group._free_acceptor is None:
+                aut = build_shortlex_acceptor(group)
+                group._free_acceptor = (aut.n_states, aut.initial, aut.transitions)
+            return GeodesicAutomaton(group, *group._free_acceptor)
         checked = group._checked_acceptor
         if checked is not None and checked[1] >= n_max:
             return checked[0]

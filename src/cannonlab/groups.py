@@ -240,6 +240,9 @@ class FreeGroup(GroupPresentation):
         if len(generator_names) != rank:
             raise PresentationError("generator_names must match rank")
         super().__init__(generator_names)
+        # (n_states, initial, transitions) of the reduced-word acceptor,
+        # kept by automaton.checked_acceptor
+        self._free_acceptor: Optional[tuple] = None
 
     def normal_form(self, word: Sequence[int]) -> Word:
         return free_reduce(word)

@@ -695,7 +695,7 @@ def test_schottky_pipeline_smoke(tmp_path):
 
 
 def test_root_finder_failure_exits_5(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(thermo, "pressure_terms", lambda op, c: math.nan)
+    monkeypatch.setattr(thermo, "pressure_terms", lambda op, c, **kw: math.nan)
     code, _ = run(tmp_path, "growth")
     assert code == 5
     assert "numeric failure: root finder" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -344,6 +345,27 @@ def test_a_ball_without_an_acceptor_walks_one_validated_to_its_radius(monkeypatc
         counting.count_ball(wm, 4)
     with pytest.raises(counting.CountingError, match="count_mismatch"):
         counting.correlate(wm, green, 0.5, 4)
+
+
+def test_a_free_group_builds_its_acceptor_once(monkeypatch):
+    group = groups.standard_schottky()  # no acceptor kept from another test
+    calls, build = [], automaton.build_shortlex_acceptor
+    monkeypatch.setattr(
+        automaton, "build_shortlex_acceptor",
+        lambda *args: calls.append(1) or build(*args),
+    )
+    word, fuchsian = metrics.WordMetric(group), metrics.FuchsianOrbit(group)
+    first = counting.count_ball(word, 4)
+    again = counting.count_ball(fuchsian, 6)
+    rep = counting.correlate(word, fuchsian, 0.5, 5)
+    assert len(calls) == 1
+    aut = build(group)
+    assert np.array_equal(first.distances, counting.count_ball(word, 4, automaton=aut).distances)
+    assert len(again.distances) == len(rep.d_values) + 4 * 3 ** 5
+    # the group keeps no reference cycle: it is freed with its last user
+    ref = weakref.ref(group)
+    del group, word, fuchsian, aut
+    assert ref() is None
 
 
 def test_balls_are_walked_on_a_shortlex_acceptor_of_the_group(free2_aut):

@@ -566,12 +566,10 @@ def _counting_eig(monkeypatch):
     return calls
 
 
-def test_dense_leading_eigen_is_the_tie_rule_pick_of_eig_bitwise(
-    schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2, monkeypatch
-):
-    """The dense path takes its eigenvalue from eigvals and its vector from
-    one solve; the value is the bits that eig and the tie rule give, and eig
-    itself does not run."""
+def _dense_path_matrices(schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2):
+    """302 matrices below DENSE_BELOW: the 36-block word + Fuchsian pair on a
+    12 x 25 grid of real coefficients, in grid order, then the pair at one
+    complex point and the 35-block genus-2 word operator."""
     word = thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
     pair = thermo.TransferOperator(
         schottky_aut, schottky_comp.vertices, [word, thermo.cylinder_potential(fuchsian, 3)]
@@ -583,7 +581,18 @@ def test_dense_leading_eigen_is_the_tie_rule_pick_of_eig_bitwise(
     genus2_word = thermo.TransferOperator(
         genus2_aut, comp.vertices, [thermo.cylinder_potential(metrics.WordMetric(genus2), 1)]
     )
-    mats += [pair.matrix([-(0.4 + 3.7j), -0.6]), genus2_word.matrix([-0.8])]
+    return mats + [pair.matrix([-(0.4 + 3.7j), -0.6]), genus2_word.matrix([-0.8])]
+
+
+def test_dense_leading_eigen_is_the_tie_rule_pick_of_eig_bitwise(
+    schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2, monkeypatch
+):
+    """The dense path takes its eigenvalue from eigvals and its vector from
+    one solve; the value is the bits that eig and the tie rule give, and eig
+    itself does not run."""
+    mats = _dense_path_matrices(
+        schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2
+    )
     eig = np.linalg.eig
     calls = _counting_eig(monkeypatch)
     for mat in mats:
@@ -602,7 +611,8 @@ def test_a_singular_shift_falls_back_to_eig(free2_aut, free2_comp, monkeypatch):
         np.linalg.solve(complete.toarray() - 3.0 * np.eye(4), np.ones(4))
     calls = _counting_eig(monkeypatch)
     eig = thermo.leading_eigen(complete, left=True)
-    assert eig.value == 3.0 and len(calls) == 2  # the right and the left vector
+    # eig gives the right vector; the left one is solved one ulp above 3
+    assert eig.value == 3.0 and len(calls) == 1
     assert eig.residual <= thermo.RESIDUAL_TOL
     assert np.allclose(eig.right, 0.5, rtol=0, atol=1e-14)
     assert np.allclose(eig.left, 0.5, rtol=0, atol=1e-14)
@@ -647,6 +657,132 @@ def test_badly_scaled_dense_operator_passes_the_residual_check(tmp_path):
     assert cli.main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_warm_perron_path_agrees_with_the_cold_path(
+    schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2
+):
+    """Each matrix starts from the cold Perron vector of the one before it
+    (the ones vector where the size changes): the 302 dense-path matrices
+    and the 108-block depth-4 Fuchsian operator on a grid around its growth
+    rate.  Where Noda's iteration runs, lambda agrees with the cold path to
+    4e-15, the vector is positive, and the Collatz-Wielandt bracket of that
+    vector holds lambda; where it declines, the call is the cold path bit
+    for bit."""
+    depth4 = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [thermo.cylinder_potential(fuchsian, 4)]
+    )
+    assert depth4.structure.n == 108 < thermo.PERRON_BELOW
+    mats = _dense_path_matrices(
+        schottky_aut, schottky_comp, schottky, fuchsian, genus2_aut, genus2
+    ) + [depth4.matrix([-s]) for s in np.linspace(0.2, 0.5, 31)]
+    prev, ran = None, {36: 0, 35: 0, 108: 0}
+    for mat in mats:
+        n = mat.shape[0]
+        start = prev if prev is not None and len(prev) == n else np.ones(n)
+        cold, warm = thermo.leading_eigen(mat), thermo.leading_eigen(mat, start=start)
+        if thermo._noda(mat, start) is None:
+            assert warm.value == cold.value and np.array_equal(warm.right, cold.right)
+        else:
+            ran[n] += 1
+            x = warm.right
+            assert abs(warm.value - cold.value) <= 4e-15 * abs(cold.value)
+            assert x.dtype == float and np.all(x > 0)
+            ratio = (mat.toarray() @ x) / x
+            assert ratio.min() <= warm.value.real <= ratio.max()
+            assert warm.value.imag == 0 and warm.residual <= thermo.RESIDUAL_TOL
+        prev = cold.right
+    # all but the grid's far corners, where the entries span many decades,
+    # and the first 108-block matrix, whose ones start is far from its
+    # Perron vector
+    assert ran[36] > 250 and ran[35] == 1 and ran[108] == 30
+
+
+def test_warm_perron_path_takes_the_perron_root_of_a_periodic_component():
+    """On the period-2, 80-block component ARPACK converges to -rho; Noda's
+    iteration returns +rho with positive h and nu."""
+    aut = _bipartite_automaton(40)
+    (comp,) = [c for c in shift.scc_decompose(aut) if not c.trivial]
+    pot = thermo.cylinder_potential(metrics.WordMetric(aut.group), 1)
+    mat = thermo.TransferOperator(aut, comp.vertices, [pot]).matrix([-1.0])
+    assert mat.shape[0] == 80 and thermo.DENSE_BELOW <= 80 < thermo.PERRON_BELOW
+    rho = np.max(np.abs(np.linalg.eigvals(mat.toarray())))
+    assert thermo.leading_eigen(mat).value.real < 0
+    eig = thermo.leading_eigen(mat, left=True, start=np.ones(80))
+    assert eig.value.imag == 0 and abs(eig.value.real - rho) <= 1e-12 * rho
+    assert np.all(eig.right > 0) and np.all(eig.left > 0)
+    for a, x in ((mat, eig.right), (mat.T, eig.left)):
+        assert np.linalg.norm(a @ x - eig.value * x) <= thermo.RESIDUAL_TOL * rho
+
+
+def test_warm_perron_path_declines_to_the_cold_bits(schottky_aut, schottky_comp, fuchsian):
+    """The badly scaled 4x4 operator at s = 4, whose states 1 and 2 are
+    coupled only by entries 1e-16 times their row sums, a start with a zero
+    entry, and a start whose Collatz-Wielandt bracket is more than half its
+    upper end wide each give the cold path's bits."""
+    group = groups.standard_schottky((3.0, 30.0))
+    aut = automaton.build_shortlex_acceptor(group)
+    comp = shift.word_maximal_components(aut)[0]
+    op = thermo.TransferOperator(
+        aut, comp.vertices, [thermo.cylinder_potential(metrics.FuchsianOrbit(group), 1)]
+    )
+    # the start that a growth root brings to s = 4: the vector at s = 0
+    small = (op.matrix([-4.0]), thermo.leading_eigen(op.matrix([0.0])).right)
+    depth4 = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [thermo.cylinder_potential(fuchsian, 4)]
+    )
+    mat = depth4.matrix([-0.34])
+    zero = thermo.leading_eigen(mat).right.real.copy()
+    zero[7] = 0.0
+    ratio = (mat @ np.ones(108)) / np.ones(108)
+    assert ratio.max() - ratio.min() > ratio.max() / 2
+    for mat, start in (small, (mat, zero), (mat, np.ones(108))):
+        assert thermo._noda(mat, start) is None
+        cold = thermo.leading_eigen(mat, left=True)
+        warm = thermo.leading_eigen(mat, left=True, start=start)
+        assert warm.value == cold.value and warm.residual == cold.residual
+        assert np.array_equal(warm.right, cold.right) and np.array_equal(warm.left, cold.left)
+
+
+def test_warm_roots_bound_the_solver_calls(
+    schottky, schottky_aut, schottky_comp, fuchsian, monkeypatch
+):
+    """The depth-4 correlation exponent makes one ARPACK run per root (the
+    cold first evaluation), and no left vector runs eigs or eigvals; a
+    warm root's bits depend on the operator alone."""
+    op = thermo.TransferOperator(
+        schottky_aut, schottky_comp.vertices, [thermo.cylinder_potential(fuchsian, 4)]
+    )
+    v_f = thermo.growth_rate(schottky_aut, schottky_comp, None, op=op)
+    assert thermo.growth_rate(schottky_aut, schottky_comp, None, op=op) == v_f
+    v_w = thermo.growth_rate(
+        schottky_aut, schottky_comp, thermo.cylinder_potential(metrics.WordMetric(schottky), 1)
+    )
+    pw = thermo.cylinder_potential(metrics.ScaledWordMetric(schottky, v_w), 1)
+    pf = thermo.cylinder_potential(metrics.LinearCombination([(v_f, fuchsian)]), 4)
+    calls, left = {"eigs": 0, "eigvals": 0}, [False]
+    eigs, eigvals, with_left = scipy.sparse.linalg.eigs, np.linalg.eigvals, thermo._with_left
+
+    def counted(name, solve):
+        def run(*args, **kwargs):
+            assert not left[0], f"a left vector ran {name}"
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return run
+
+    def marked(*args):
+        left[0] = True
+        try:
+            return with_left(*args)
+        finally:
+            left[0] = False
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted("eigs", eigs))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+    monkeypatch.setattr(thermo, "_with_left", marked)
+    ce = thermo.correlation_exponent(schottky_aut, schottky_comp, pw, pf)
+    assert not ce.degenerate and 0.0 < ce.alpha < 1.0
+    assert calls["eigs"] <= 11 and calls["eigvals"] == 0
+
+
 def test_roots_reuse_the_bracket_end_values(monkeypatch):
     """Brent's method takes f at both bracket ends from the sign check: each
     root makes exactly the evaluations of a bare brentq run, two fewer than
@@ -660,12 +796,14 @@ def test_roots_reuse_the_bracket_end_values(monkeypatch):
 
     pressure_terms = thermo.pressure_terms
     op = thermo.TransferOperator(aut, comp.vertices, [pot_f])
+    warm = thermo.WarmStart()  # the root's own warm state, as in growth_rate
     v_ref, r = scipy.optimize.brentq(
-        lambda s: pressure_terms(op, [-s]), 0.05, 2.0, **tol
+        lambda s: pressure_terms(op, [-s], warm=warm), 0.05, 2.0, **tol
     )
     calls = []
     monkeypatch.setattr(
-        thermo, "pressure_terms", lambda *a: calls.append(1) or pressure_terms(*a)
+        thermo, "pressure_terms",
+        lambda *a, **k: calls.append(1) or pressure_terms(*a, **k),
     )
     v_f = thermo.growth_rate(aut, comp, pot_f, bracket=(0.05, 2.0))
     monkeypatch.undo()
@@ -680,8 +818,11 @@ def test_roots_reuse_the_bracket_end_values(monkeypatch):
     perron = thermo.perron
 
     def slope_plus_one(t):
-        theta = thermo.manhattan_pair(aut, comp, pw, pf, t, op=pair)
-        int_d, int_dstar = perron(pair, [-theta, -t]).integrals()
+        # the Perron data start from the eigenpair of the warm root, as in
+        # correlation_exponent
+        pairs = {}
+        theta = thermo.manhattan_pair(aut, comp, pw, pf, t, op=pair, pairs=pairs)
+        int_d, int_dstar = perron(pair, [-theta, -t], pairs[-theta, -t]).integrals()
         return 1.0 - int_dstar / int_d
 
     xi_ref, r = scipy.optimize.brentq(slope_plus_one, 0.05, 0.95, **tol)
